@@ -3,92 +3,63 @@
 //! When enabled ([`crate::SolverConfig::proof`]), the solver records
 //! every learned lemma — conflict-analysis clauses, §3 predicate
 //! lemmas, and (in the learning-free mode) refuted decision paths — as
-//! a step of an [`rtl_proof::Proof`]. Each step is admitted into a
-//! *mirror checker* as it is emitted, so the producer knows immediately
-//! whether the checker will accept it:
+//! a step of an [`rtl_proof::Proof`]: the lemma's literals, the case
+//! splits the producer already knows (a predicate probe's way-splits),
+//! the proof steps of the clauses conflict analysis resolved on, and the
+//! steps the clause-DB reduction retired before it. Recording is all
+//! this file does during search: no checker code runs here.
 //!
-//! * If plain reverse unit propagation does not close the lemma, the
-//!   logger runs the checker's split finder and attaches the discovered
-//!   case splits to the step.
-//! * If that also fails (finder budget, or a genuinely unsound lemma
-//!   such as one corrupted by an injected fault), the lemma is recorded
-//!   as a **gap**: the mirror database stays aligned with the solver so
-//!   later steps still replay, but the proof is marked incomplete and
-//!   can never certify the result.
-//!
-//! The logger deliberately reuses the checker's own admission code
-//! rather than a private replay: whatever the logger accepted, a fresh
-//! [`rtl_proof::Checker`] accepts for the same reasons. The trust
-//! argument does not rest on this file at all — a proof is only
-//! believed after an independent re-check (see `rtl-proof`).
+//! Certification admits each recorded step exactly once, in order, in
+//! `rtl-proof` ([`ProofLog::certify_pending`] → [`Checker::certify`]):
+//! a one-shot Unsat verdict hands its log to a fresh goal checker
+//! ([`crate::Solver`]), and an incremental session keeps one certifier
+//! that admits each query's new steps ([`crate::Session`]). Where a
+//! lemma needs case splits the producer did not know, the certifier's
+//! split finder supplies them and writes them into the step, so the
+//! sealed proof replays under any fresh checker. A step the certifier
+//! cannot admit — a lemma corrupted by an injected fault, a bogus
+//! deletion — stops certification: the sealed proof counts the steps
+//! left unadmitted as gaps, and certifies nothing.
 
-use rtl_ir::{Netlist, SignalId};
 use rtl_proof::{Checker, PLit, PSplit, Proof, Step};
 
 use crate::engine::Engine;
 use crate::types::{HLit, VarId};
 
 /// Sentinel in [`ProofLog::clause_step`]: the engine clause has no
-/// corresponding proof step (it was a gap).
+/// proof step (it was added before logging started).
 const NO_STEP: u32 = u32::MAX;
 
-/// An in-progress proof: a mirror checker plus the emitted steps.
+/// An in-progress proof: the recorded steps and their bookkeeping.
 pub(crate) struct ProofLog {
-    mirror: Checker,
     steps: Vec<Step>,
-    gaps: u32,
     goal: String,
-    /// `engine clause id → proof step id` ([`NO_STEP`] for gaps).
+    /// `engine clause id → proof step id` ([`NO_STEP`] if never logged).
     clause_step: Vec<u32>,
-    /// Step ids retired by DB reductions since the last emitted step;
+    /// Step ids retired by DB reductions since the last recorded step;
     /// attached to the *next* step's `dels` section (deletions carry no
     /// deductive content, so they need no step of their own).
     pending_dels: Vec<u32>,
 }
 
 impl ProofLog {
-    /// Starts a proof for `netlist` under `goal`. Returns `None` when
-    /// the mirror checker cannot be built (non-Boolean goal), in which
-    /// case the solve simply runs unlogged.
-    pub fn new(netlist: &Netlist, goal: SignalId) -> Option<ProofLog> {
-        let mirror = Checker::new(netlist, goal).ok()?;
-        Some(ProofLog {
-            mirror,
-            steps: Vec::new(),
-            gaps: 0,
-            goal: rtl_proof::goal_name(netlist, goal),
-            clause_step: Vec::new(),
-            pending_dels: Vec::new(),
-        })
-    }
-
-    /// Starts a *goal-free* proof log for an incremental solve session:
-    /// no goal is asserted into the mirror's base, and each query's
-    /// Unsat verdict is sealed by [`ProofLog::snapshot`] into an
-    /// assumption proof (goal name `-`) instead of [`ProofLog::finish`].
-    pub fn new_free(netlist: &Netlist) -> ProofLog {
+    /// Starts a proof under the goal named `goal`
+    /// ([`rtl_proof::goal_name`]).
+    pub fn new(goal: String) -> ProofLog {
         ProofLog {
-            mirror: Checker::new_free(netlist),
             steps: Vec::new(),
-            gaps: 0,
-            goal: "-".to_string(),
+            goal,
             clause_step: Vec::new(),
             pending_dels: Vec::new(),
         }
     }
 
-    /// Grows the mirror over netlist signals appended since the last
-    /// (`new_free`/`extend`) call — the logging counterpart of
-    /// [`crate::compile::Compiled::extend`]. Admitted steps survive:
-    /// extension only adds constraints, so they remain implied.
-    pub fn extend(&mut self, netlist: &Netlist) {
-        self.mirror.extend(netlist);
-    }
-
-    /// The mirror's variable count; the solver cross-checks this
-    /// against its own compilation before trusting the logger.
-    pub fn var_count(&self) -> u32 {
-        self.mirror.var_count()
+    /// Starts a *goal-free* proof log for an incremental solve session:
+    /// each query's Unsat verdict is sealed by [`ProofLog::snapshot`]
+    /// into an assumption proof (goal name `-`) instead of
+    /// [`ProofLog::finish`].
+    pub fn new_free() -> ProofLog {
+        ProofLog::new("-".to_string())
     }
 
     fn plit(lit: &HLit) -> PLit {
@@ -107,8 +78,8 @@ impl ProofLog {
     }
 
     /// Maps engine clause ids to the proof step ids that introduced
-    /// them, dropping gaps and ids the logger never saw (e.g. clauses
-    /// added before logging started).
+    /// them, dropping ids the logger never saw (clauses added before
+    /// logging started).
     fn ants_of(&self, cids: &[u32]) -> Vec<u32> {
         cids.iter()
             .filter_map(|&c| self.clause_step.get(c as usize).copied())
@@ -116,64 +87,35 @@ impl ProofLog {
             .collect()
     }
 
-    /// Emits one step, trying in order: admit as given; admit with
-    /// finder-discovered splits; record a gap. Returns the step id, or
-    /// [`NO_STEP`] for a gap.
+    /// Records one step, carrying the deletions queued since the last
+    /// one; returns its id.
     fn log_step(&mut self, lits: Vec<PLit>, splits: Vec<PSplit>, ants: Vec<u32>) -> u32 {
         let mut dels = std::mem::take(&mut self.pending_dels);
         dels.sort_unstable();
         dels.dedup();
-        let mut step = Step {
+        let id = self.steps.len() as u32;
+        self.steps.push(Step {
             lits,
             splits,
             ants,
             dels,
-        };
-        if self.mirror.admit(&step).is_err() {
-            let found = self.mirror.find_splits(&step.lits);
-            let ok = match found {
-                Some(splits) => {
-                    // The retry re-applies the step's deletions; the
-                    // checker's retire is idempotent, so this is safe.
-                    step.splits = splits;
-                    self.mirror.admit(&step).is_ok()
-                }
-                None => false,
-            };
-            if !ok {
-                // A gapped step is never emitted, so its deletions roll
-                // over to the next step (the mirror may already have
-                // retired them — harmless, retirement only weakens).
-                self.gaps += 1;
-                self.mirror.assume_clause(&step.lits);
-                self.pending_dels = step.dels;
-                return NO_STEP;
-            }
-        }
-        let id = self.steps.len() as u32;
-        self.steps.push(step);
+        });
         id
     }
 
     /// Records that the engine retired the given clauses: their proof
-    /// steps are queued for the next emitted step's deletion section,
-    /// bounding the checker's live clause set the same way the solver's
-    /// DB reduction bounds its own. Gapped or never-logged clauses have
-    /// no step and vanish silently.
+    /// steps are queued for the next step's deletion section, bounding
+    /// the checker's live clause set the same way the solver's DB
+    /// reduction bounds its own. Never-logged clauses vanish silently.
     pub fn log_deletions(&mut self, cids: &[u32]) {
-        for &c in cids {
-            if let Some(&s) = self.clause_step.get(c as usize) {
-                if s != NO_STEP {
-                    self.pending_dels.push(s);
-                }
-            }
-        }
+        let steps = self.ants_of(cids);
+        self.pending_dels.extend(steps);
     }
 
     /// Test-only fault hook ([`crate::supervise::FaultPlan`]): queues a
-    /// deletion citing a step id that can never exist, which the mirror
-    /// (and any fresh checker) must reject — from then on every step
-    /// gaps and the proof cannot certify.
+    /// deletion citing a step id that can never exist, which the
+    /// certifier (and any fresh checker) must reject — certification
+    /// stops at the step that carries it.
     pub fn log_bogus_deletion(&mut self) {
         self.pending_dels.push(u32::MAX);
     }
@@ -227,7 +169,7 @@ impl ProofLog {
         }
     }
 
-    /// Emits the final empty clause (unless some earlier step already
+    /// Records the final empty clause (unless some earlier step already
     /// was the empty clause).
     pub fn log_final(&mut self) {
         if self.steps.last().is_some_and(Step::is_empty_clause) {
@@ -236,13 +178,26 @@ impl ProofLog {
         self.log_step(Vec::new(), Vec::new(), Vec::new());
     }
 
-    /// Seals the log into a [`Proof`].
-    pub fn finish(self) -> Proof {
+    /// Admits every recorded step `checker` has not admitted yet, in
+    /// order, through the certifying admission (which writes any
+    /// finder-discovered splits into the step). `false` at the first
+    /// step it cannot admit: that step and all later ones stay
+    /// unadmitted, and `checker` must not be fed further steps.
+    pub fn certify_pending(&mut self, checker: &mut Checker) -> bool {
+        let from = checker.admitted() as usize;
+        self.steps[from..]
+            .iter_mut()
+            .all(|step| checker.certify(step).is_ok())
+    }
+
+    /// Seals the log into a [`Proof`] over `var_count` variables after
+    /// `admitted` of its steps were certified; the rest count as gaps.
+    pub fn finish(self, var_count: u32, admitted: u32) -> Proof {
         Proof {
-            var_count: self.mirror.var_count(),
+            var_count,
             goal: self.goal,
             assumptions: Vec::new(),
-            gaps: self.gaps,
+            gaps: self.steps.len() as u32 - admitted,
             steps: self.steps,
         }
     }
@@ -250,28 +205,36 @@ impl ProofLog {
     /// Seals the *current* state of a session log into an assumption
     /// proof for one Unsat-under-`assumptions` query, without consuming
     /// the log — the session keeps learning across later queries.
+    /// `certifier` is the session's certifier, already caught up with
+    /// [`ProofLog::certify_pending`] (`None` once it rejected a step).
     ///
     /// Two things separate a snapshot from [`ProofLog::finish`]:
     ///
-    /// * **Variable translation.** The session engine allocates
-    ///   variables segment-wise as the netlist grows (each `extend`'s
-    ///   signals, then its auxiliaries), but a fresh checker lowers the
-    ///   final netlist in one segment (all signals, then all
-    ///   auxiliaries). `sig_var` (the engine's signal→variable map)
-    ///   determines the renaming: signal variables map to their signal
-    ///   index, auxiliaries to `signal_count + rank` by ascending
-    ///   engine id — the same order a single-segment lowering allocates
-    ///   them, because both walk nodes in signal-id order.
+    /// * **Variable translation.** The session engine allocates its
+    ///   `var_count` variables segment-wise as the netlist grows (each
+    ///   `extend`'s signals, then its auxiliaries), and so does the
+    ///   session certifier, but a fresh checker lowers the final
+    ///   netlist in one segment (all signals, then all auxiliaries).
+    ///   `sig_var` (the engine's signal→variable map) determines the
+    ///   renaming: signal variables map to their signal index,
+    ///   auxiliaries to `signal_count + rank` by ascending engine id —
+    ///   the same order a single-segment lowering allocates them,
+    ///   because both walk nodes in signal-id order.
     /// * **The final clause.** `¬a₁ ∨ … ∨ ¬aₖ` over the query's
     ///   assumptions is *assumption-dependent*, so it must not be
-    ///   installed in the session mirror (later queries would inherit
-    ///   it). It is justified here with the non-mutating split finder;
-    ///   if that fails the snapshot (only) gains a gap and cannot
-    ///   certify. A session already at the empty clause (globally
-    ///   unsat) needs no final clause.
-    pub fn snapshot(&mut self, sig_var: &[VarId], assumptions: &[(VarId, bool)]) -> Proof {
-        let n = self.mirror.var_count() as usize;
-        let mut canon = vec![u32::MAX; n];
+    ///   installed in the certifier (later queries would inherit it).
+    ///   It is checked with [`Checker::certify_uninstalled`]; if that
+    ///   fails the snapshot (only) gains a gap and cannot certify. A
+    ///   session already at the empty clause (globally unsat) needs no
+    ///   final clause.
+    pub fn snapshot(
+        &self,
+        var_count: usize,
+        sig_var: &[VarId],
+        assumptions: &[(VarId, bool)],
+        certifier: Option<&mut Checker>,
+    ) -> Proof {
+        let mut canon = vec![u32::MAX; var_count];
         for (i, v) in sig_var.iter().enumerate() {
             canon[v.index()] = i as u32;
         }
@@ -308,37 +271,36 @@ impl ProofLog {
                 at,
             },
         };
-        let mut steps: Vec<Step> = self
-            .steps
-            .iter()
-            .map(|s| Step {
-                lits: s.lits.iter().map(tr_lit).collect(),
-                splits: s.splits.iter().map(tr_split).collect(),
-                ants: s.ants.clone(),
-                dels: s.dels.clone(),
-            })
-            .collect();
-        let mut gaps = self.gaps;
+        let tr_step = |s: &Step| Step {
+            lits: s.lits.iter().map(tr_lit).collect(),
+            splits: s.splits.iter().map(tr_split).collect(),
+            ants: s.ants.clone(),
+            dels: s.dels.clone(),
+        };
+        let mut steps: Vec<Step> = self.steps.iter().map(tr_step).collect();
+        let admitted = certifier.as_ref().map_or(0, |c| c.admitted());
+        let mut gaps = self.steps.len() as u32 - admitted;
         if !steps.last().is_some_and(Step::is_empty_clause) {
-            let final_lits: Vec<PLit> = assumptions
-                .iter()
-                .map(|&(var, value)| PLit::Bool {
-                    var: var.index() as u32,
-                    value: !value,
-                })
-                .collect();
-            match self.mirror.find_splits(&final_lits) {
-                Some(splits) => steps.push(Step {
-                    lits: final_lits.iter().map(tr_lit).collect(),
-                    splits: splits.iter().map(tr_split).collect(),
-                    ants: Vec::new(),
-                    dels: Vec::new(),
-                }),
-                None => gaps += 1,
+            let mut last = Step {
+                lits: assumptions
+                    .iter()
+                    .map(|&(var, value)| PLit::Bool {
+                        var: var.index() as u32,
+                        value: !value,
+                    })
+                    .collect(),
+                ..Step::default()
+            };
+            let closed =
+                gaps == 0 && certifier.is_some_and(|c| c.certify_uninstalled(&mut last).is_ok());
+            if closed {
+                steps.push(tr_step(&last));
+            } else {
+                gaps += 1;
             }
         }
         Proof {
-            var_count: self.mirror.var_count(),
+            var_count: var_count as u32,
             goal: self.goal.clone(),
             assumptions: assumptions
                 .iter()

@@ -26,14 +26,24 @@
 //! [`LearningMode::Hybrid`].)
 //!
 //! **Growth**: [`Session::extend`] appends signals to the netlist in
-//! place and grows the compiled problem, the engine, and the proof
-//! mirror to match — BMC unrolling adds frame `k + 1` without
+//! place and grows the compiled problem, the engine, and the session
+//! certifier to match — BMC unrolling adds frame `k + 1` without
 //! recompiling frames `0..=k`.
 //!
-//! **Certification**: with [`SolverConfig::proof`] enabled, every Unsat
-//! query is sealed into an *assumption proof* (format v3) checked by
-//! the independent [`rtl_proof::Checker`] before the verdict is
-//! reported as certified; Sat models are replayed through the
+//! **Certification**: with [`SolverConfig::proof`] enabled, the search
+//! records every learned lemma ([`crate::prooflog`]), and the session
+//! owns one [`rtl_proof::Checker`] — its *certifier* — that lowers the
+//! netlist segment-wise, exactly as the engine allocates variables. The
+//! certifier admits each recorded step once, in the order it was
+//! learned: pending steps are admitted at the next Unsat certification,
+//! and at the latest before the next [`Session::extend`], so every step
+//! is checked against the netlist it was learned over. An Unsat query
+//! is then sealed into an *assumption proof* (format v3) whose final
+//! clause `¬a₁ ∨ … ∨ ¬aₖ` the certifier verifies by the same
+//! refutation without installing it; the verdict is reported as
+//! certified only when every step so far was admitted and that clause
+//! closed. A step the certifier rejects retires it: no later answer of
+//! the session is certified. Sat models are replayed through the
 //! [`rtl_ir::eval`] reference simulator and checked against the
 //! query's assumptions. See [`crate::prooflog::ProofLog::snapshot`]
 //! for why proofs stay sound across queries.
@@ -45,7 +55,7 @@ use std::time::Instant;
 use rtl_ir::simplify::{SignalMap, Simplifier, SimplifyStats};
 use rtl_ir::{analysis, eval, Netlist, SignalId};
 use rtl_obs::{DurHist, ObsHandle, PhaseAcc};
-use rtl_proof::{Checker, Proof};
+use rtl_proof::{CheckReport, Checker, Proof};
 
 use crate::compile::compile;
 use crate::decide::{pick_activity, LearnWeights};
@@ -58,7 +68,7 @@ use crate::solver::{
     flush_search_phases, HdpllResult, LearningMode, Limits, SolverConfig, SolverStats,
     P_ANALYZE, P_DECIDE, P_FINAL, P_PROOF, P_PROPAGATE, P_RESTART, SEARCH_PHASES,
 };
-use crate::supervise::CancelToken;
+use crate::supervise::{CancelToken, FaultPlan};
 use crate::types::{AbortReason, DecisionStrategy, Dom, RestartMode, VarId};
 
 /// One assumption of an incremental query: `signal = value`, pinned
@@ -97,11 +107,11 @@ pub enum SessionCert {
     /// Sat: the model was replayed through the [`rtl_ir::eval`]
     /// reference simulator and satisfies every assumption.
     ModelVerified,
-    /// Unsat: the query's assumption proof was accepted by the
-    /// independent [`rtl_proof::Checker`].
+    /// Unsat: every step of the query's assumption proof, and its final
+    /// clause, were admitted by the session's [`rtl_proof::Checker`].
     ProofChecked,
-    /// No independent validation (proof logging off, a proof gap, or an
-    /// Unknown verdict).
+    /// No independent validation (proof logging off, a step the
+    /// certifier rejected, or an Unknown verdict).
     Uncertified,
 }
 
@@ -143,6 +153,13 @@ pub struct Session {
     engine: Engine,
     config: SolverConfig,
     proof: Option<ProofLog>,
+    /// The persistent certifier (see the module docs): `None` with
+    /// proof logging off, or once it rejected a step.
+    certifier: Option<Checker>,
+    /// Checker work spent certifying this session's answers, summed
+    /// over every certifier call.
+    certify_work: CheckReport,
+    faults: FaultPlan,
     weights: LearnWeights,
     has_weights: bool,
     /// The empty clause holds: every further query is Unsat.
@@ -189,19 +206,25 @@ impl Session {
         let compiled = Arc::new(compile(solved));
         let compile_ns = u64::try_from(compile_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let engine = Engine::new(compiled);
-        let proof = if config.proof {
-            let p = ProofLog::new_free(solved);
-            (p.var_count() as usize == engine.compiled.init_dom.len()).then_some(p)
-        } else {
-            None
-        };
         let num_vars = engine.doms.len();
+        let proof = config.proof.then(ProofLog::new_free);
+        // The certifier lowers the netlist itself; a variable count that
+        // differs from the engine's means the two lowerings diverged,
+        // and no answer is certified rather than checked against the
+        // wrong variables.
+        let certifier = config
+            .proof
+            .then(|| Checker::new_free(solved))
+            .filter(|c| c.var_count() as usize == num_vars);
         let mut s = Session {
             netlist: netlist.clone(),
             pre,
             engine,
             config,
             proof,
+            certifier,
+            certify_work: CheckReport::default(),
+            faults: FaultPlan::default(),
             weights: LearnWeights::new(num_vars),
             has_weights: config.learn.is_some(),
             root_unsat: false,
@@ -227,6 +250,23 @@ impl Session {
             }
         }
         s
+    }
+
+    /// Arms a [`FaultPlan`] for subsequent queries (test only; the
+    /// default plan is clean and free on the hot path).
+    pub fn inject_faults(&mut self, faults: FaultPlan) {
+        self.faults = faults;
+        self.engine.set_faults(faults);
+    }
+
+    /// Checker work spent certifying this session's answers so far:
+    /// steps admitted and split-search nodes spent, summed over every
+    /// query. Each recorded step is admitted once, however many queries
+    /// cite it. `None` with proof logging off, or once the certifier
+    /// rejected a step.
+    #[must_use]
+    pub fn certify_report(&self) -> Option<CheckReport> {
+        self.certifier.as_ref().map(|_| self.certify_work)
     }
 
     /// Installs a telemetry handle (the default is off). Session-span
@@ -301,12 +341,15 @@ impl Session {
 
     /// Grows the netlist in place (the closure appends signals — it
     /// must never mutate existing ones) and extends the compiled
-    /// problem, the engine, and the proof mirror to match. Learned
+    /// problem, the engine, and the certifier to match. Learned
     /// clauses and level-0 facts survive: extension only *adds*
     /// constraints, so everything derived so far remains valid.
     pub fn extend(&mut self, grow: impl FnOnce(&mut Netlist)) {
         self.engine.backtrack(0);
         self.engine.clear_abort();
+        // Steps learned since the last certification are admitted
+        // over the netlist they were learned on, before it grows.
+        self.certify_pending();
         grow(&mut self.netlist);
         // The simplifier's output is itself append-only, so the grown
         // image extends the compiled problem the same way the raw
@@ -320,17 +363,14 @@ impl Session {
         Arc::make_mut(&mut self.engine.compiled).extend(solved);
         debug_assert_eq!(self.engine.compiled.signals_consumed(), solved.len());
         self.engine.grow();
-        self.weights.grow(self.engine.doms.len());
-        if let Some(p) = &mut self.proof {
-            let solved = self.pre.as_ref().map_or(&self.netlist, Simplifier::netlist);
-            p.extend(solved);
-            // The mirror and the engine grew from the same netlist; a
-            // divergence means a lowering bug — drop logging rather
-            // than emit proofs about the wrong variables.
-            if p.var_count() as usize != self.engine.doms.len() {
-                self.proof = None;
-            }
-        }
+        let num_vars = self.engine.doms.len();
+        self.weights.grow(num_vars);
+        // The certifier grows segment-wise from the same netlist; see
+        // `with_preproc` for the variable-count cross-check.
+        self.certifier = self.certifier.take().and_then(|mut c| {
+            c.extend(solved);
+            (c.var_count() as usize == num_vars).then_some(c)
+        });
         if self.root_unsat {
             return;
         }
@@ -453,6 +493,7 @@ impl Session {
                 engine,
                 config,
                 proof,
+                faults,
                 weights,
                 has_weights,
                 ..
@@ -471,6 +512,7 @@ impl Session {
                 DecisionStrategy::Structural => RestartMode::Off,
             };
             let db_cfg = config.db;
+            let corrupt_deletion = faults.corrupt_deletion;
             let structural_index = match config.decision {
                 DecisionStrategy::Structural => {
                     // `StructuralIndex` scores by topological level,
@@ -507,6 +549,9 @@ impl Session {
                         }
                         if let Some(dropped) = engine.maybe_reduce(&db_cfg) {
                             if let Some(p) = proof.as_mut() {
+                                if corrupt_deletion == Some(engine.stats.db_reductions - 1) {
+                                    p.log_bogus_deletion();
+                                }
                                 p.log_deletions(&dropped);
                                 acc.tick(P_PROOF);
                             }
@@ -662,8 +707,8 @@ impl Session {
         certified
     }
 
-    /// Derived the empty clause: record it in the proof log (mirroring
-    /// the admitted state) and latch the session-wide verdict.
+    /// Derived the empty clause: record it in the proof log and latch
+    /// the session-wide verdict.
     fn mark_root_unsat(&mut self) {
         self.root_unsat = true;
         if let Some(p) = &mut self.proof {
@@ -671,28 +716,44 @@ impl Session {
         }
     }
 
-    /// Seals the current proof state into an assumption proof for an
-    /// Unsat verdict and re-checks it with the independent checker.
+    /// Admits the steps recorded since the certifier last ran. A step
+    /// it rejects retires the certifier for the rest of the session.
+    fn certify_pending(&mut self) {
+        if let (Some(log), Some(c)) = (&mut self.proof, &mut self.certifier) {
+            let admitted_all = charge(&mut self.certify_work, c, |c| log.certify_pending(c));
+            if !admitted_all {
+                self.certifier = None;
+            }
+        }
+    }
+
+    /// Certifies the pending steps and seals the proof state into an
+    /// assumption proof for an Unsat verdict. Proofs are stated over
+    /// the netlist the engine solved: the simplified image when
+    /// preprocessing is on.
     fn certify_unsat(&mut self, asm: &[(VarId, bool)]) -> Certified {
+        self.certify_pending();
         let Session {
-            netlist,
-            pre,
             engine,
             proof,
+            certifier,
+            certify_work,
             ..
         } = self;
-        // Proofs are stated over the netlist the engine solved: the
-        // simplified image when preprocessing is on.
-        let solved = pre.as_ref().map_or(&*netlist, Simplifier::netlist);
-        let proof = proof
-            .as_mut()
-            .map(|p| p.snapshot(&engine.compiled.sig_var, asm));
+        let snapshot = |c: Option<&mut Checker>| {
+            proof
+                .as_ref()
+                .map(|p| p.snapshot(engine.doms.len(), &engine.compiled.sig_var, asm, c))
+        };
+        let proof = match certifier {
+            Some(c) => charge(certify_work, c, |c| snapshot(Some(c))),
+            None => snapshot(None),
+        };
+        // A snapshot has no gaps exactly when the certifier admitted
+        // every step and closed the final clause.
         let cert = match &proof {
-            Some(p) => match Checker::check_assumptions(solved, &p.assumptions, p) {
-                Ok(_) => SessionCert::ProofChecked,
-                Err(_) => SessionCert::Uncertified,
-            },
-            None => SessionCert::Uncertified,
+            Some(p) if p.is_complete() => SessionCert::ProofChecked,
+            _ => SessionCert::Uncertified,
         };
         Certified {
             result: HdpllResult::Unsat,
@@ -712,6 +773,16 @@ impl Session {
             .mem_peak
             .max(self.engine.approx_mem_bytes());
     }
+}
+
+/// Runs `f` on the certifier and adds the checker work it did to `work`.
+fn charge<T>(work: &mut CheckReport, c: &mut Checker, f: impl FnOnce(&mut Checker) -> T) -> T {
+    let before = c.report();
+    let out = f(c);
+    let after = c.report();
+    work.steps += after.steps - before.steps;
+    work.search_nodes += after.search_nodes - before.search_nodes;
+    out
 }
 
 /// Per-query record of a rung the [`SupervisedSession`] gave up on.
@@ -757,6 +828,7 @@ pub struct SupervisedSession {
     obs: ObsHandle,
     degradations: u32,
     preproc: bool,
+    faults: FaultPlan,
 }
 
 impl SupervisedSession {
@@ -793,6 +865,7 @@ impl SupervisedSession {
             obs: ObsHandle::off(),
             degradations: 0,
             preproc: true,
+            faults: FaultPlan::default(),
         }
     }
 
@@ -803,6 +876,16 @@ impl SupervisedSession {
     pub fn with_preproc(mut self, on: bool) -> Self {
         self.preproc = on;
         self
+    }
+
+    /// Arms a [`FaultPlan`] on the current rung's session: the live one,
+    /// or else the next one built (test only). A session rebuilt after
+    /// a degradation runs clean.
+    pub fn inject_faults(&mut self, faults: FaultPlan) {
+        match &mut self.session {
+            Some(s) => s.inject_faults(faults),
+            None => self.faults = faults,
+        }
     }
 
     /// Installs a telemetry handle, shared by every rung's session
@@ -900,9 +983,11 @@ impl SupervisedSession {
                 let netlist = &self.netlist;
                 let obs = self.obs.clone();
                 let preproc = self.preproc;
+                let faults = std::mem::take(&mut self.faults);
                 let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     let mut s = Session::with_preproc(netlist, config, preproc);
                     s.set_obs(obs);
+                    s.inject_faults(faults);
                     s
                 }));
                 match built {

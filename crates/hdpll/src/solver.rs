@@ -16,7 +16,7 @@ use crate::supervise::{CancelToken, FaultPlan};
 use crate::types::{AbortReason, ClauseDbConfig, DecisionStrategy, Dom, RestartMode};
 use rtl_interval::Tribool;
 use rtl_obs::{DurHist, ObsHandle, PhaseAcc};
-use rtl_proof::Proof;
+use rtl_proof::{CheckReport, Checker, Proof};
 
 /// Phase slots of the search loop's [`PhaseAcc`] (DESIGN.md §2.14):
 /// time is accumulated locally at phase boundaries and flushed into
@@ -107,9 +107,10 @@ pub struct SolverConfig {
     /// Resource budget.
     pub limits: Limits,
     /// Log an Unsat proof (retrieved with [`Solver::take_proof`] after
-    /// an Unsat verdict). Roughly doubles the cost of each conflict:
-    /// every learned lemma is replayed through a mirror of the
-    /// independent checker as it is emitted.
+    /// an Unsat verdict). During search the log only records each
+    /// learned lemma; an Unsat verdict is then certified once, by a
+    /// fresh `rtl-proof` checker admitting every lemma in order. A Sat
+    /// or Unknown verdict does no checker work.
     pub proof: bool,
     /// Scheduled-restart policy. Applies only to the
     /// [`DecisionStrategy::Activity`] search (the structural strategy's
@@ -240,6 +241,8 @@ pub struct Solver {
     faults: FaultPlan,
     obs: ObsHandle,
     last_proof: Option<Proof>,
+    /// What the certifier admitted for `last_proof`.
+    certify_report: Option<CheckReport>,
     /// Wall time of the one-time compile in [`Solver::new`], reported
     /// to the profiler on the first solve (the telemetry handle is
     /// installed only after construction).
@@ -264,6 +267,7 @@ impl Solver {
             faults: FaultPlan::default(),
             obs: ObsHandle::off(),
             last_proof: None,
+            certify_report: None,
             compile_ns,
             compile_reported: false,
         }
@@ -297,18 +301,38 @@ impl Solver {
     /// Takes the proof logged by the most recent Unsat verdict, if
     /// proof logging was enabled ([`SolverConfig::proof`]). A proof
     /// with [`Proof::is_complete`] `== false` contains lemmas the
-    /// logger could not justify and will be rejected by the checker.
+    /// certifier could not admit and will be rejected by the checker.
     #[must_use]
     pub fn take_proof(&mut self) -> Option<Proof> {
         self.last_proof.take()
     }
 
-    /// Seals the proof log after an Unsat verdict.
-    fn seal_proof(&mut self, proof: Option<ProofLog>) {
-        if let Some(mut p) = proof {
-            p.log_final();
-            self.last_proof = Some(p.finish());
-        }
+    /// The certifier's work on the most recent solve: steps admitted and
+    /// split-search nodes spent. `None` when no certification ran — a
+    /// Sat or Unknown verdict, or proof logging off.
+    #[must_use]
+    pub fn certify_report(&self) -> Option<CheckReport> {
+        self.certify_report
+    }
+
+    /// Seals the proof log after an Unsat verdict, certifying it on a
+    /// fresh goal checker. The checker lowers the netlist itself; a
+    /// variable count that differs from the engine's means the two
+    /// lowerings diverged, and the proof is left uncertified rather
+    /// than checked against the wrong variables.
+    fn seal_proof(&mut self, constraint: SignalId, proof: Option<ProofLog>) {
+        let Some(mut log) = proof else { return };
+        log.log_final();
+        let var_count = self.compiled.init_dom.len() as u32;
+        let report = Checker::new(&self.netlist, constraint)
+            .ok()
+            .filter(|c| c.var_count() == var_count)
+            .map(|mut checker| {
+                log.certify_pending(&mut checker);
+                checker.report()
+            });
+        self.certify_report = report;
+        self.last_proof = Some(log.finish(var_count, report.map_or(0, |r| r.steps)));
     }
 
     /// Decides the satisfiability of `constraint = 1`.
@@ -351,18 +375,12 @@ impl Solver {
         self.stats = SolverStats::default();
         self.learn_report = None;
         self.last_proof = None;
+        self.certify_report = None;
 
-        // Proof logging mirrors every learned lemma through an
-        // independent checker. The variable-count cross-check guards
-        // against the two lowerings ever diverging: rather than emit
-        // proofs about the wrong variables, logging is dropped (the
-        // solve is then uncertified, never wrong).
-        let mut proof = if self.config.proof {
-            ProofLog::new(&self.netlist, constraint)
-                .filter(|p| p.var_count() as usize == self.compiled.init_dom.len())
-        } else {
-            None
-        };
+        let mut proof = self
+            .config
+            .proof
+            .then(|| ProofLog::new(rtl_proof::goal_name(&self.netlist, constraint)));
 
         // Thread the budget into the propagation loop itself, so the
         // wall clock and cancellation hold even during propagation
@@ -386,14 +404,14 @@ impl Solver {
         // Assert the proposition and reach the initial fixpoint.
         if !engine.assert_external(self.compiled.var_of(constraint), Dom::B(Tribool::True)) {
             self.finish_stats(&engine);
-            self.seal_proof(proof);
+            self.seal_proof(constraint, proof);
             return HdpllResult::Unsat;
         }
         engine.schedule_all();
         match engine.propagate() {
             Propagation::Conflict(_) => {
                 self.finish_stats(&engine);
-                self.seal_proof(proof);
+                self.seal_proof(constraint, proof);
                 return HdpllResult::Unsat;
             }
             Propagation::Aborted(reason) => {
@@ -415,7 +433,7 @@ impl Solver {
             self.learn_report = Some(report);
             if unsat {
                 self.finish_stats(&engine);
-                self.seal_proof(proof);
+                self.seal_proof(constraint, proof);
                 return HdpllResult::Unsat;
             }
             // The budget may have tripped mid-learning; the abort is
@@ -583,13 +601,16 @@ impl Solver {
             }
         };
         self.stats.search_time = search_start.elapsed();
+        if result.is_unsat() {
+            // Certification closes the `proof` phase: the profile books
+            // all of a solve's proof work in one row.
+            self.seal_proof(constraint, proof);
+            acc.tick(P_PROOF);
+        }
         flush_search_phases(&self.obs, &acc);
         self.obs.profile_exit();
         self.finish_stats(&engine);
         self.stats.abort = abort;
-        if result.is_unsat() {
-            self.seal_proof(proof);
-        }
         result
     }
 

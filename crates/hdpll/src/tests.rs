@@ -824,8 +824,8 @@ fn sat_and_disabled_logging_yield_no_proof() {
 fn corrupted_solver_cannot_produce_a_complete_accepted_proof() {
     // Arm the clause-corruption fault: the first learned clause has its
     // first literal's polarity flipped. The logger records the clause
-    // *as stored*, so the mirror checker refuses to admit it and the
-    // proof comes out incomplete (or, if somehow complete, rejected).
+    // *as stored*, so the certifier refuses to admit it and the proof
+    // comes out incomplete (or, if somehow complete, rejected).
     for (iname, n, goal) in unsat_instances() {
         let mut solver = Solver::new(&n, SolverConfig::hdpll().with_proof(true));
         solver.inject_faults(crate::FaultPlan {

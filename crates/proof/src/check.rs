@@ -19,9 +19,9 @@ use crate::{resolve_goal, PLit, PSplit, Proof, Step};
 
 /// Node budget for replaying a step's split tree.
 const REFUTE_BUDGET: u64 = 1 << 18;
-/// Node budget for *discovering* a split tree (producer side). Smaller
-/// than [`REFUTE_BUDGET`] so any discovered tree replays within the
-/// checker's budget.
+/// Node budget for *discovering* a split tree ([`Checker::find_splits`]).
+/// Smaller than [`REFUTE_BUDGET`] so any discovered tree replays within
+/// the checker's budget.
 const FIND_BUDGET: u64 = 1 << 15;
 
 /// Why a proof was rejected.
@@ -44,9 +44,10 @@ pub enum CheckError {
         /// Count derived from the netlist.
         lowered: u32,
     },
-    /// The producer skipped lemmas; the proof certifies nothing.
+    /// The producer's certifier left steps unadmitted; the proof
+    /// certifies nothing.
     Incomplete {
-        /// Number of skipped lemmas.
+        /// Number of unadmitted steps.
         gaps: u32,
     },
     /// The proof has no steps.
@@ -118,7 +119,7 @@ impl std::fmt::Display for CheckError {
                 write!(f, "variable count mismatch: proof {proof}, netlist {lowered}")
             }
             CheckError::Incomplete { gaps } => {
-                write!(f, "incomplete proof: {gaps} lemma(s) skipped by the producer")
+                write!(f, "incomplete proof: {gaps} step(s) not admitted by the producer")
             }
             CheckError::Empty => write!(f, "proof has no steps"),
             CheckError::MissingEmptyClause => write!(f, "final step is not the empty clause"),
@@ -418,9 +419,9 @@ fn eval_lit(lit: &PLit, dom: VDom) -> Tribool {
                 inside.not()
             }
         }
-        // Kind mismatches are rejected during validation; a mismatched
-        // literal in an admitted clause can only mean producer abuse of
-        // `assume_clause` — evaluate as unknown (never propagates).
+        // Kind mismatches are rejected during validation, so no admitted
+        // clause carries one; evaluate defensively as unknown (never
+        // propagates).
         _ => Tribool::Unknown,
     }
 }
@@ -638,11 +639,11 @@ impl Ctx<'_> {
         Ok(())
     }
 
-    /// Greedy split discovery (producer side): grows a shared split
-    /// list until every branch conflicts, or gives up on budget /
-    /// full-point assignments that still do not conflict (which cannot
-    /// happen for sound lemmas — at a point assignment every
-    /// constraint kind is decided exactly by its contractor).
+    /// Greedy split discovery (the finder behind `Checker::certify`):
+    /// grows a shared split list until every branch conflicts, or gives
+    /// up on budget / full-point assignments that still do not conflict
+    /// (which cannot happen for sound lemmas — at a point assignment
+    /// every constraint kind is decided exactly by its contractor).
     #[allow(clippy::too_many_arguments)]
     fn grow(
         &self,
@@ -757,7 +758,7 @@ pub struct Checker {
     deleted: Vec<bool>,
     /// `step id → installed clause id` ([`NO_CLAUSE`] for empty-clause
     /// steps); deletion sections cite step ids, the database is indexed
-    /// by clause ids (which also cover `assume_clause` entries).
+    /// by clause ids.
     step_clause: Vec<u32>,
     admitted: u32,
     scratch: Scratch,
@@ -1068,6 +1069,56 @@ impl Checker {
     /// [`CheckError::BadDeletion`]) and lemmas that do not follow
     /// ([`CheckError::NotImplied`], [`CheckError::Budget`]).
     pub fn admit(&mut self, step: &Step) -> Result<(), CheckError> {
+        self.refute_step(step)?;
+        self.install_step(step);
+        Ok(())
+    }
+
+    /// The certifying admission: [`Checker::admit`] with the step's own
+    /// splits, and when that refutation does not close
+    /// ([`CheckError::NotImplied`] or [`CheckError::Budget`]), the split
+    /// finder followed by a second strict admission with the splits it
+    /// found, which are written back into `step`. The finder is outside
+    /// the trusted base: whatever it proposes is replayed by the same
+    /// strict refutation, so a step certified here is a step a fresh
+    /// checker admits from the rewritten text.
+    ///
+    /// # Errors
+    ///
+    /// As [`Checker::admit`]; a failed finder reports the first
+    /// admission's error.
+    pub fn certify(&mut self, step: &mut Step) -> Result<(), CheckError> {
+        self.justify(step)?;
+        self.install_step(step);
+        Ok(())
+    }
+
+    /// [`Checker::certify`] without installing the clause or counting a
+    /// step: the check of a clause that later steps must not inherit,
+    /// such as an incremental query's `¬a₁ ∨ … ∨ ¬aₖ`.
+    ///
+    /// # Errors
+    ///
+    /// As [`Checker::certify`].
+    pub fn certify_uninstalled(&mut self, step: &mut Step) -> Result<(), CheckError> {
+        self.justify(step)
+    }
+
+    fn justify(&mut self, step: &mut Step) -> Result<(), CheckError> {
+        match self.refute_step(step) {
+            Err(e @ (CheckError::NotImplied { .. } | CheckError::Budget { .. })) => {
+                step.splits = self.find_splits(&step.lits).ok_or(e)?;
+                // The retry re-applies the step's deletions; retirement
+                // is idempotent.
+                self.refute_step(step)
+            }
+            r => r,
+        }
+    }
+
+    /// Validates `step` and refutes its negation over the current state,
+    /// without installing it.
+    fn refute_step(&mut self, step: &Step) -> Result<(), CheckError> {
         self.validate(step)?;
         let id = self.admitted;
         // Deletions precede the derivation (the producer retired these
@@ -1076,37 +1127,40 @@ impl Checker {
         // stick, mirroring the producer: its clauses are gone whether or
         // not the next lemma justifies.
         self.apply_dels(step);
-        if !self.base_conflict {
-            let mut trial = self.base.clone();
-            let mut touched = Vec::new();
-            let refuted = self.assert_negations(&mut trial, &step.lits, &mut touched);
-            if !refuted {
-                let mut nodes = REFUTE_BUDGET;
-                let Checker {
-                    lowered,
-                    clauses,
-                    clause_watch,
-                    deleted,
-                    scratch,
-                    ..
-                } = &mut *self;
-                let ctx = Ctx {
-                    lowered,
-                    clauses,
-                    clause_watch,
-                    deleted,
-                };
-                let r = ctx.refute(trial, scratch, &touched, true, &step.splits, 0, &mut nodes);
-                self.nodes_used += REFUTE_BUDGET - nodes;
-                match r {
-                    Ok(()) => {}
-                    Err(RefuteFail::NotImplied) => {
-                        return Err(CheckError::NotImplied { step: id })
-                    }
-                    Err(RefuteFail::Budget) => return Err(CheckError::Budget { step: id }),
-                }
-            }
+        if self.base_conflict {
+            return Ok(());
         }
+        let mut trial = self.base.clone();
+        let mut touched = Vec::new();
+        if self.assert_negations(&mut trial, &step.lits, &mut touched) {
+            return Ok(());
+        }
+        let mut nodes = REFUTE_BUDGET;
+        let Checker {
+            lowered,
+            clauses,
+            clause_watch,
+            deleted,
+            scratch,
+            ..
+        } = &mut *self;
+        let ctx = Ctx {
+            lowered,
+            clauses,
+            clause_watch,
+            deleted,
+        };
+        let r = ctx.refute(trial, scratch, &touched, true, &step.splits, 0, &mut nodes);
+        self.nodes_used += REFUTE_BUDGET - nodes;
+        match r {
+            Ok(()) => Ok(()),
+            Err(RefuteFail::NotImplied) => Err(CheckError::NotImplied { step: id }),
+            Err(RefuteFail::Budget) => Err(CheckError::Budget { step: id }),
+        }
+    }
+
+    /// Adds a refuted step to the clause database as the next step id.
+    fn install_step(&mut self, step: &Step) {
         if step.lits.is_empty() {
             self.base_conflict = true;
             self.step_clause.push(NO_CLAUSE);
@@ -1115,25 +1169,13 @@ impl Checker {
             self.step_clause.push(cid);
         }
         self.admitted += 1;
-        Ok(())
     }
 
-    /// Producer-side escape hatch: records a clause in the database
-    /// *without* checking it and without creating a proof step. Used
-    /// when the producer fails to justify a lemma (a *gap*): the
-    /// mirror state stays aligned with the solver, and the resulting
-    /// proof is marked incomplete.
-    pub fn assume_clause(&mut self, lits: &[PLit]) {
-        if lits.is_empty() {
-            self.base_conflict = true;
-        } else {
-            self.install(lits);
-        }
-    }
-
-    /// Searches for a split tree under which `lits` is implied
-    /// (producer side). Returns `None` when the budget runs out or a
-    /// full point assignment survives (the lemma is not implied).
+    /// Searches for a split tree under which `lits` is implied: the
+    /// split finder behind [`Checker::certify`]. Returns `None` when the
+    /// budget runs out or a full point assignment survives (the lemma
+    /// is not implied). Its answer is advisory; only a strict admission
+    /// that replays it counts.
     pub fn find_splits(&mut self, lits: &[PLit]) -> Option<Vec<PSplit>> {
         if self.base_conflict {
             return Some(Vec::new());
@@ -1162,6 +1204,16 @@ impl Checker {
         let ok = ctx.grow(trial, scratch, &touched, true, &mut splits, 0, &mut nodes);
         self.nodes_used += FIND_BUDGET - nodes;
         ok.then_some(splits)
+    }
+
+    /// Steps admitted and split-search nodes spent so far, over every
+    /// admission and finder call this checker made.
+    #[must_use]
+    pub fn report(&self) -> CheckReport {
+        CheckReport {
+            steps: self.admitted,
+            search_nodes: self.nodes_used,
+        }
     }
 
     /// Checks a full proof against a netlist, resolving the goal by
@@ -1249,10 +1301,7 @@ impl Checker {
         for step in &proof.steps {
             checker.admit(step)?;
         }
-        Ok(CheckReport {
-            steps: checker.admitted,
-            search_nodes: checker.nodes_used,
-        })
+        Ok(checker.report())
     }
 
     /// Checks a full proof against a netlist and an explicit goal.
@@ -1286,9 +1335,6 @@ impl Checker {
             checker.admit(step)?;
         }
         debug_assert!(checker.base_conflict);
-        Ok(CheckReport {
-            steps: checker.admitted,
-            search_nodes: checker.nodes_used,
-        })
+        Ok(checker.report())
     }
 }

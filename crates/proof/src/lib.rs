@@ -11,8 +11,14 @@
 //! unit propagation over previously admitted steps to a fixpoint, and
 //! demand an empty domain (exploring the step's recorded case splits
 //! when plain propagation is not enough). A proof is valid when every
-//! step admits, no step was skipped by the producer (`gaps == 0`), and
-//! the final step is the empty clause.
+//! step admits, the producer's own certification left no step
+//! unadmitted (`gaps == 0`), and the final step is the empty clause.
+//!
+//! The producer certifies through this crate too:
+//! [`Checker::certify`] admits each recorded step once, in order, and
+//! fills in the case splits of lemmas that need them from the split
+//! finder — whose proposals a strict admission replays, so the finder
+//! is outside the trusted base.
 //!
 //! Trust base: this crate plus `rtl-ir` (netlist shape) and
 //! `rtl-interval` (interval arithmetic). Nothing from the solver.
@@ -143,16 +149,15 @@ pub struct Proof {
     /// of an assumption proof must be a clause over the negations of
     /// these literals — see [`check::Checker::check_assumptions`].
     pub assumptions: Vec<PLit>,
-    /// Number of lemmas the producer failed to justify (skipped
-    /// steps). A proof with `gaps > 0` is *incomplete* and never
-    /// certifies anything.
+    /// Number of steps the producer's certifier did not admit. A proof
+    /// with `gaps > 0` is *incomplete* and never certifies anything.
     pub gaps: u32,
     /// The derivation; the last step must be the empty clause.
     pub steps: Vec<Step>,
 }
 
 impl Proof {
-    /// `true` when no lemma was skipped during production.
+    /// `true` when the producer's certifier admitted every step.
     #[must_use]
     pub fn is_complete(&self) -> bool {
         self.gaps == 0

@@ -16,14 +16,19 @@
 //!   extend`] growth interleave; queries over the grown netlist still
 //!   match fresh solves, and the trail returns to decision level zero
 //!   (`is_quiescent`) after every query.
+//!
+//! Then the session certifier itself: an injected fault never reaches
+//! a checked proof (and a [`SupervisedSession`] degrades past it), and
+//! over a BMC sweep the certifier admits each logged step exactly once.
 
 use proptest::prelude::*;
 
 use rtlsat::hdpll::{
-    Assumption, ClauseDbConfig, HdpllResult, LearnConfig, Session, SessionCert, Solver,
-    SolverConfig,
+    Assumption, Certified, ClauseDbConfig, FaultPlan, HdpllResult, LearnConfig, Session,
+    SessionCert, Solver, SolverConfig, SupervisedSession,
 };
 use rtlsat::ir::{eval, Netlist, SignalId};
+use rtlsat::itc99::cases::{BmcCase, Circuit, Expected};
 use rtlsat::proof::Checker;
 
 mod common;
@@ -41,11 +46,7 @@ fn variants() -> Vec<(&'static str, SolverConfig)> {
         // proof `d` sections must survive across queries.
         (
             "hdpll+S aggressive-db",
-            SolverConfig::structural().with_clause_db(ClauseDbConfig {
-                reduce: true,
-                first_reduce: 1,
-                reduce_inc: 1,
-            }),
+            SolverConfig::structural().with_clause_db(aggressive_db()),
         ),
     ]
 }
@@ -241,4 +242,251 @@ fn grow_random(n: &mut Netlist, rng: &mut Rng) {
             }
         }
     }
+}
+
+/// Clause-DB schedule that reduces every couple of lemmas, so deletion
+/// events (and the `corrupt_deletion` fault) fire on small workloads.
+fn aggressive_db() -> ClauseDbConfig {
+    ClauseDbConfig {
+        reduce: true,
+        first_reduce: 1,
+        reduce_inc: 1,
+    }
+}
+
+/// The conflict-rich mux workload as a query stream: `goal` is
+/// infeasible, `¬goal` feasible, and each query pins one more select
+/// input, so every query learns lemmas under the aggressive schedule.
+fn mux_stream() -> (Netlist, Vec<Vec<Assumption>>) {
+    let wl = rtl_bench::hotpath::mux_search(8);
+    let sel = |i: usize| {
+        wl.netlist
+            .find(&format!("sel{i}"))
+            .expect("mux select input")
+    };
+    let g = wl.goal;
+    let stream = vec![
+        vec![Assumption::yes(g)],
+        vec![Assumption::no(g)],
+        vec![Assumption::yes(g), Assumption::yes(sel(0))],
+        vec![Assumption::no(g), Assumption::no(sel(1))],
+        vec![Assumption::yes(g), Assumption::no(sel(2))],
+        vec![Assumption::yes(g)],
+    ];
+    (wl.netlist, stream)
+}
+
+fn mux_config() -> SolverConfig {
+    SolverConfig::hdpll()
+        .with_clause_db(aggressive_db())
+        .with_proof(true)
+}
+
+/// Faults that fire inside [`mux_stream`] under [`mux_config`]. Most
+/// corrupted mux lemmas still follow from the netlist (and may then be
+/// certified); these two do not: lemma 6 breaks the first query's
+/// proof, lemma 30 also turns the feasible `¬goal` query Unsat.
+fn session_faults() -> Vec<FaultPlan> {
+    vec![
+        FaultPlan {
+            corrupt_learned_clause: Some(6),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            corrupt_learned_clause: Some(30),
+            ..FaultPlan::default()
+        },
+        FaultPlan {
+            corrupt_deletion: Some(0),
+            ..FaultPlan::default()
+        },
+    ]
+}
+
+/// `true` when a fresh independent checker accepts `c`'s proof.
+fn fresh_accepts(proof_netlist: &Netlist, c: &Certified) -> bool {
+    c.proof
+        .as_ref()
+        .is_some_and(|p| Checker::check_assumptions(proof_netlist, &p.assumptions, p).is_ok())
+}
+
+#[test]
+fn faulted_session_never_reports_a_checked_proof() {
+    // The session certifier is the only check on a session's Unsat
+    // answers. Once a proof carries the bad step (a fresh checker
+    // rejects it), neither that query nor any later one may claim a
+    // checked proof — and every claimed one must survive a fresh
+    // re-check.
+    let (netlist, stream) = mux_stream();
+    for faults in session_faults() {
+        let mut session = Session::new(&netlist, mux_config());
+        session.inject_faults(faults);
+        let mut tainted = false;
+        for (i, asm) in stream.iter().enumerate() {
+            let c = session.solve(asm);
+            if !c.result.is_unsat() {
+                continue;
+            }
+            let fresh = fresh_accepts(session.proof_netlist(), &c);
+            tainted |= !fresh;
+            if tainted {
+                assert_ne!(
+                    c.cert,
+                    SessionCert::ProofChecked,
+                    "{faults:?}: query {i} claims a checked proof after the bad step"
+                );
+            } else {
+                assert_eq!(c.cert, SessionCert::ProofChecked, "{faults:?}: query {i}");
+            }
+        }
+        assert!(
+            tainted,
+            "{faults:?} never reached a proof: the test lost its teeth"
+        );
+        assert!(
+            session.certify_report().is_none(),
+            "{faults:?}: the certifier must retire at the bad step"
+        );
+    }
+}
+
+#[test]
+fn supervised_session_degrades_past_a_faulted_session() {
+    // The same faults on the ladder's first rung: the query whose proof
+    // carries the bad step fails certification, the ladder degrades to
+    // a fresh clean session, and every answer it reports is right and
+    // certified.
+    let (netlist, stream) = mux_stream();
+    for faults in session_faults() {
+        let mut ladder = SupervisedSession::with_rungs(
+            &netlist,
+            vec![
+                ("faulty".to_string(), mux_config()),
+                (
+                    "clean".to_string(),
+                    SolverConfig::structural().with_proof(true),
+                ),
+            ],
+        );
+        ladder.inject_faults(faults);
+        for (i, asm) in stream.iter().enumerate() {
+            let q = ladder.solve(asm);
+            let expected = fresh_verdict(&netlist, asm, SolverConfig::hdpll());
+            let tag = format!("{faults:?}: query {i}");
+            assert!(q.answered_by.is_some(), "{tag}: ladder ran dry");
+            assert_eq!(
+                q.certified.result.is_sat(),
+                expected,
+                "{tag}: wrong verdict"
+            );
+            if q.certified.result.is_unsat() {
+                assert_eq!(q.certified.cert, SessionCert::ProofChecked, "{tag}");
+                let live = ladder.session().expect("an answering session");
+                assert!(fresh_accepts(live.proof_netlist(), &q.certified), "{tag}");
+            } else {
+                assert_eq!(q.certified.cert, SessionCert::ModelVerified, "{tag}");
+            }
+        }
+        assert!(
+            ladder.degradations() >= 1,
+            "{faults:?}: the ladder never degraded"
+        );
+        assert_eq!(ladder.active_rung(), "clean");
+    }
+}
+
+/// Answers `queries` on `session`, asserting after every Unsat answer
+/// that the session's certification work so far admitted exactly the
+/// steps logged so far. Returns the steps a fresh checker per query
+/// admits re-checking the same proofs, and the certifier's total.
+fn assert_each_step_admitted_once(
+    session: &mut Session,
+    mut queries: impl FnMut(&mut Session, usize) -> Option<Vec<Assumption>>,
+) -> (u64, u64) {
+    let mut per_query = 0u64;
+    let mut i = 0;
+    while let Some(asm) = queries(session, i) {
+        let c = session.solve(&asm);
+        i += 1;
+        if !c.result.is_unsat() {
+            continue;
+        }
+        assert_eq!(c.cert, SessionCert::ProofChecked, "query {i}");
+        let proof = c.proof.as_ref().unwrap();
+        // Every step but the query's own final clause was logged.
+        let logged = proof.len() - 1;
+        let report = session.certify_report().expect("certifier live");
+        assert_eq!(report.steps as usize, logged, "query {i}");
+        let fresh = Checker::check_assumptions(session.proof_netlist(), &proof.assumptions, proof)
+            .unwrap_or_else(|e| panic!("query {i}: fresh checker rejected: {e}"));
+        per_query += u64::from(fresh.steps);
+    }
+    (per_query, u64::from(session.certify_report().unwrap().steps))
+}
+
+#[test]
+fn certifier_admits_each_logged_step_once() {
+    // Each query's proof restates every step logged so far, yet the
+    // session's certification work only ever admits each step once —
+    // not once per query that cites it. First a b13 BMC sweep, one
+    // extend plus one query per depth (property p2 learns at every
+    // depth), then the mux query stream on one netlist.
+    let circuit = rtlsat::itc99::b13();
+    let mut unroller = circuit.unroller();
+    let mut base = unroller.base_netlist();
+    unroller.push_frame(&mut base).unwrap();
+    let config = SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
+    let mut session = Session::new(&base, config);
+    let (per_query, once) = assert_each_step_admitted_once(&mut session, |s, depth| {
+        if depth == 12 {
+            return None;
+        }
+        if depth > 0 {
+            s.extend(|n| unroller.push_frame(n).unwrap());
+        }
+        Some(vec![Assumption::yes(unroller.bad("p2", depth).unwrap())])
+    });
+    assert!(
+        once > 0 && per_query > 2 * once,
+        "a checker per query would admit {per_query} steps, the certifier admitted {once}"
+    );
+    let (netlist, stream) = mux_stream();
+    let mut session = Session::new(&netlist, mux_config());
+    let (per_query, once) =
+        assert_each_step_admitted_once(&mut session, |_, i| stream.get(i).cloned());
+    assert!(
+        once > 0 && per_query > 2 * once,
+        "mux stream: {per_query} steps per query against {once}"
+    );
+
+    // A one-shot SAT answer with proof logging on records its lemmas
+    // but runs no checker; an Unsat one certifies every step once.
+    let sat = BmcCase {
+        circuit: Circuit::B04,
+        property: "p1",
+        frames: 6,
+        expected: Expected::Sat,
+    }
+    .build();
+    let mut solver = Solver::new(&sat.netlist, SolverConfig::structural().with_proof(true));
+    assert!(solver.solve(sat.bad).is_sat());
+    assert!(
+        solver.stats().engine.learned > 0,
+        "the SAT solve must learn lemmas"
+    );
+    assert!(
+        solver.certify_report().is_none(),
+        "a SAT answer did checker work"
+    );
+    assert!(solver.take_proof().is_none());
+
+    let unsat = rtl_bench::hotpath::mux_search(6);
+    let mut solver = Solver::new(&unsat.netlist, unsat.config.with_proof(true));
+    assert!(solver.solve(unsat.goal).is_unsat());
+    let report = solver
+        .certify_report()
+        .expect("an Unsat answer is certified");
+    let proof = solver.take_proof().unwrap();
+    assert!(proof.is_complete());
+    assert_eq!(report.steps as usize, proof.len());
 }

@@ -4,16 +4,25 @@
 //! the text round-trip), and targeted single-point corruptions — of the
 //! proof object, of its text, or of the solver itself via a
 //! [`FaultPlan`] — must make certification fail rather than silently
-//! pass.
+//! pass. Randomly mutated proof text and `.preproc` bundle text is
+//! untrusted input: parsing and checking it never panics, and no
+//! mutation of a real proof certifies a satisfiable netlist.
+
+use std::sync::OnceLock;
 
 use proptest::prelude::*;
 
-use rtlsat::hdpll::{ClauseDbConfig, FaultPlan, HdpllResult, LearnConfig, Solver, SolverConfig};
+use rtlsat::hdpll::{
+    Assumption, ClauseDbConfig, FaultPlan, HdpllResult, LearnConfig, Session, Solver, SolverConfig,
+};
+use rtlsat::ir::simplify::{
+    bundle_parse, bundle_to_text, bundle_to_text_full, bundle_validate, simplify, simplify_full,
+};
 use rtlsat::ir::{Netlist, SignalId};
 use rtlsat::proof::{format, Checker, Proof, Step};
 
 mod common;
-use common::random_netlist;
+use common::{random_netlist, Rng};
 
 /// A clause-DB schedule aggressive enough that reductions (and thus
 /// deletion proof events) actually fire on the tiny random netlists of
@@ -114,13 +123,21 @@ proptest! {
 /// Unsat with real interval lemmas, used for the deterministic
 /// corruption tests below.
 fn parity_instance() -> (Netlist, SignalId) {
+    sum_of_equals(5)
+}
+
+/// `x + y = total ∧ x = y` over 3-bit words, the goal named `goal`:
+/// Unsat for odd `total`, satisfiable for even ones, with the same
+/// shape (and so the same variable layout) either way.
+fn sum_of_equals(total: i64) -> (Netlist, SignalId) {
     let mut n = Netlist::new("parity");
     let x = n.input_word("x", 3).unwrap();
     let y = n.input_word("y", 3).unwrap();
     let s = n.add_into(x, y, 4).unwrap();
-    let eqs = n.eq_const(s, 5).unwrap();
+    let eqs = n.eq_const(s, total).unwrap();
     let eqxy = n.cmp(rtlsat::ir::CmpOp::Eq, x, y).unwrap();
     let goal = n.and(&[eqs, eqxy]).unwrap();
+    n.set_name(goal, "goal").unwrap();
     (n, goal)
 }
 
@@ -220,4 +237,169 @@ fn corrupted_deletion_bookkeeping_is_never_certified() {
         !proof.is_complete() || Checker::check_goal(&netlist, goal, &proof).is_err(),
         "a fabricated deletion must never survive certification"
     );
+}
+
+/// Applies one to three random text mutations: flip one bit of an ASCII
+/// byte, drop, duplicate or swap lines, or replace a number with a
+/// neighbour or an extreme value.
+fn mutate(text: &str, rng: &mut Rng) -> String {
+    let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+    for _ in 0..1 + rng.below(3) {
+        if lines.is_empty() {
+            break;
+        }
+        let i = rng.below(lines.len());
+        match rng.below(5) {
+            0 => {
+                let mut bytes = std::mem::take(&mut lines[i]).into_bytes();
+                if !bytes.is_empty() {
+                    let j = rng.below(bytes.len());
+                    bytes[j] ^= 1 << rng.below(7);
+                }
+                lines[i] = String::from_utf8(bytes).expect("ASCII stays ASCII");
+            }
+            1 => {
+                lines.remove(i);
+            }
+            2 => {
+                let dup = lines[i].clone();
+                lines.insert(i, dup);
+            }
+            3 => {
+                let j = rng.below(lines.len());
+                lines.swap(i, j);
+            }
+            _ => lines[i] = perturb_number(&lines[i], rng),
+        }
+    }
+    lines.iter().map(|l| format!("{l}\n")).collect()
+}
+
+/// Replaces one digit run of `line` (if any) with a nearby or extreme
+/// value.
+fn perturb_number(line: &str, rng: &mut Rng) -> String {
+    let bytes = line.as_bytes();
+    let mut runs = Vec::new();
+    let mut i = 0;
+    while i < bytes.len() {
+        let start = i;
+        while i < bytes.len() && bytes[i].is_ascii_digit() {
+            i += 1;
+        }
+        if i > start {
+            runs.push((start, i));
+        } else {
+            i += 1;
+        }
+    }
+    if runs.is_empty() {
+        return line.to_string();
+    }
+    let (a, b) = runs[rng.below(runs.len())];
+    let n: u128 = line[a..b].parse().unwrap_or(0);
+    let new = match rng.below(6) {
+        0 => n.saturating_add(1).to_string(),
+        1 => n.saturating_sub(1).to_string(),
+        2 => "0".to_string(),
+        3 => u32::MAX.to_string(),
+        4 => i64::MAX.to_string(),
+        _ => "340282366920938463463374607431768211456".to_string(),
+    };
+    format!("{}{new}{}", &line[..a], &line[b..])
+}
+
+/// Real proofs to mutate, with the netlists they were checked against.
+struct Corpus {
+    parity: (Netlist, SignalId),
+    /// The satisfiable same-shape sibling of `parity` (`x + y = 6`).
+    sibling: (Netlist, SignalId),
+    parity_text: String,
+    /// Larger texts, with their goal when they are goal proofs: a
+    /// many-step mux proof with antecedents and deletions, and a session
+    /// assumption proof (format v3).
+    others: Vec<(Netlist, Option<SignalId>, String)>,
+}
+
+fn corpus() -> &'static Corpus {
+    static CORPUS: OnceLock<Corpus> = OnceLock::new();
+    CORPUS.get_or_init(|| {
+        let parity = parity_instance();
+        let sibling = sum_of_equals(6);
+        let proof =
+            solve_logged(&parity.0, parity.1, SolverConfig::structural()).expect("parity is Unsat");
+        assert!(Checker::check_goal(&parity.0, parity.1, &proof).is_ok());
+        assert!(Checker::check_goal(&sibling.0, sibling.1, &proof).is_err());
+
+        let mux = rtl_bench::hotpath::mux_search(8);
+        let mux_config = mux.config.with_clause_db(aggressive_db());
+        let mux_proof =
+            solve_logged(&mux.netlist, mux.goal, mux_config).expect("mux_search is Unsat");
+        assert!(mux_proof.steps.iter().any(|s| !s.dels.is_empty()));
+        let mut session = Session::with_preproc(
+            &parity.0,
+            SolverConfig::structural().with_proof(true),
+            false,
+        );
+        let answer = session.solve(&[Assumption::yes(parity.1)]);
+        let session_proof = answer.proof.expect("Unsat with logging has a proof");
+        Corpus {
+            parity_text: format::print(&proof),
+            others: vec![
+                (mux.netlist, Some(mux.goal), format::print(&mux_proof)),
+                (parity.0.clone(), None, format::print(&session_proof)),
+            ],
+            parity,
+            sibling,
+        }
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn mutated_proof_text_never_panics_or_certifies_a_sat_sibling(seed in any::<u64>()) {
+        let c = corpus();
+        let mut rng = Rng(seed);
+        let text = mutate(&c.parity_text, &mut rng);
+        if let Ok(p) = format::parse(&text) {
+            let (sib, sib_goal) = &c.sibling;
+            prop_assert!(
+                Checker::check_goal(sib, *sib_goal, &p).is_err(),
+                "seed {seed}: mutated parity proof certified the satisfiable sibling:\n{text}"
+            );
+            // By name too, unless the mutation made it an assumption
+            // proof (whose refutation may hold under the assumptions it
+            // now carries).
+            if p.assumptions.is_empty() && p.goal != "-" {
+                prop_assert!(Checker::check(sib, &p).is_err(), "seed {seed}:\n{text}");
+            }
+            let _ = Checker::check(&c.parity.0, &p);
+        }
+        for (netlist, goal, text) in &c.others {
+            if let Ok(p) = format::parse(&mutate(text, &mut rng)) {
+                let _ = Checker::check(netlist, &p);
+                if let Some(goal) = goal {
+                    let _ = Checker::check_goal(netlist, *goal, &p);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mutated_preproc_bundles_never_panic(seed in any::<u64>()) {
+        let (mut netlist, goal) = random_netlist(seed);
+        netlist.set_name(goal, "the_goal").unwrap();
+        let r = simplify(&netlist, &[goal]);
+        let goal_new = r.map.get(goal).expect("goal mapped");
+        let mut rng = Rng(seed ^ 0xB0D1);
+        for text in [
+            bundle_to_text("the_goal", goal_new, &r),
+            bundle_to_text_full(&simplify_full(&netlist)),
+        ] {
+            if let Ok(bundle) = bundle_parse(&mutate(&text, &mut rng)) {
+                let _ = bundle_validate(&netlist, &bundle);
+            }
+        }
+    }
 }
