@@ -51,6 +51,7 @@ const POLL_PERIOD: u32 = 4096;
 /// The in-engine resource guard: the fine-grained half of
 /// [`crate::Limits`], enforced *inside* the propagation loop rather than
 /// between top-level search iterations.
+#[cfg_attr(test, derive(Clone))]
 struct BudgetGuard {
     /// Absolute wall-clock deadline (from `Limits::max_time`).
     deadline: Option<Instant>,
@@ -89,6 +90,34 @@ pub(crate) struct Analyzed {
     /// logging. Constraint-implied edges have no clause id and are
     /// covered by the checker's own lowering.
     pub used: Vec<u32>,
+}
+
+/// [`AnalysisBufs::seen`] state of a trail entry reached by the current
+/// analysis but not (or no longer) marked: expanded, or a `bool_only`
+/// word entry replaced by its ancestry.
+const SEEN: u8 = 1;
+/// [`AnalysisBufs::seen`] state of a marked entry: part of the cut.
+const MARKED: u8 = 2;
+
+/// Conflict-analysis scratch state owned by the engine and reused across
+/// conflicts, so one analysis costs O(entries walked + antecedents)
+/// rather than O(trail): nothing here is allocated or cleared per
+/// conflict beyond what the analysis touched.
+#[cfg_attr(test, derive(Clone))]
+#[derive(Default)]
+struct AnalysisBufs {
+    /// Per trail index: 0, [`SEEN`] or [`MARKED`]. All zero between
+    /// analyses; sized to the longest trail analyzed so far.
+    seen: Vec<u8>,
+    /// Trail indices whose `seen` byte is non-zero: the reset list.
+    touched: Vec<u32>,
+    /// Per decision level: how many marked entries sit at that level.
+    /// All zero between analyses.
+    level_marks: Vec<u32>,
+    /// DFS stack of the `bool_only` word expansion.
+    stack: Vec<u32>,
+    /// Entries whose antecedents were walked in the current analysis.
+    steps: u32,
 }
 
 /// Cumulative engine statistics.
@@ -146,6 +175,7 @@ pub struct EngineStats {
     pub mem_peak: u64,
 }
 
+#[cfg_attr(test, derive(Clone))]
 pub(crate) struct Engine {
     pub compiled: std::sync::Arc<Compiled>,
     pub doms: Vec<Dom>,
@@ -201,6 +231,8 @@ pub(crate) struct Engine {
     /// Reusable change buffer handed to the constraint contractors, so
     /// steady-state propagation performs no heap allocation.
     change_buf: Vec<(VarId, Dom)>,
+    /// Conflict-analysis scratch state, kept across conflicts.
+    analysis: AnalysisBufs,
     /// Live literal count across the clause database, maintained by
     /// [`Engine::add_clause`] / [`Engine::delete_clause`] so the memory
     /// estimate never walks the database.
@@ -251,6 +283,7 @@ impl Engine {
             saved_phase: vec![Tribool::Unknown; n],
             ant_pool: Vec::new(),
             change_buf: Vec::new(),
+            analysis: AnalysisBufs::default(),
             clause_lits: 0,
             budget: BudgetGuard::default(),
             aborted: None,
@@ -1073,9 +1106,244 @@ impl Engine {
     /// literals (the weaker, pre-hybrid learning of classical lazy
     /// combined decision procedures).
     ///
+    /// One backward walk from the trail tip (DESIGN.md §2.3): levels never
+    /// decrease along the trail, so the latest marked entry sits at the
+    /// current analysis level; it is the UIP when it is Boolean and the
+    /// only mark at its level, and is expanded otherwise. The lemma lists
+    /// the UIP literal first, then the other marks in descending trail
+    /// order.
+    ///
     /// Returns `None` when the conflict is independent of all decisions —
     /// the instance is UNSAT.
     pub fn analyze_mode(&mut self, conflict: &ConflictInfo, bool_only: bool) -> Option<Analyzed> {
+        self.stats.conflicts += 1;
+        let mut bufs = std::mem::take(&mut self.analysis);
+        if bufs.seen.len() < self.trail.len() {
+            bufs.seen.resize(self.trail.len(), 0);
+        }
+        if bufs.level_marks.len() <= self.level() as usize {
+            bufs.level_marks.resize(self.level() as usize + 1, 0);
+        }
+        let mut used: Vec<u32> = conflict.source.into_iter().collect();
+        let mut nmarked = 0;
+        for &i in &conflict.antecedents {
+            nmarked += self.mark(&mut bufs, i, bool_only, &mut used);
+        }
+        // Expansion only marks antecedents, which precede the expanded
+        // entry, so the cursor never moves back up the trail.
+        let mut cursor = self.trail.len();
+        let result = loop {
+            if nmarked == 0 {
+                break None;
+            }
+            cursor -= 1;
+            while bufs.seen[cursor] != MARKED {
+                cursor -= 1;
+            }
+            let e = self.trail[cursor];
+            if e.is_bool() && bufs.level_marks[e.level as usize] == 1 {
+                break Some(self.emit_lemma(&bufs, cursor, conflict, used));
+            }
+            // The expanded entry is never a decision: a decision is the
+            // *first* entry of its level, so with several marks at this
+            // level the latest one is an implied entry, and a single
+            // non-Boolean mark is a word entry (decisions are Boolean).
+            // Implied entries always carry antecedents; if those are all
+            // at level 0 the mark set simply shrinks (towards the UNSAT
+            // verdict above).
+            debug_assert!(
+                !e.ants.is_empty() || !matches!(e.reason, Reason::Decision),
+                "attempted to expand a decision entry"
+            );
+            bufs.seen[cursor] = SEEN;
+            bufs.level_marks[e.level as usize] -= 1;
+            nmarked -= 1;
+            bufs.steps += 1;
+            for k in e.ants.range() {
+                let a = self.ant_pool[k];
+                nmarked += self.mark(&mut bufs, a, bool_only, &mut used);
+            }
+        };
+        self.obs.analysis(bufs.steps, self.trail.len() as u32);
+        for &i in &bufs.touched {
+            bufs.seen[i as usize] = 0;
+            bufs.level_marks[self.trail[i as usize].level as usize] = 0;
+        }
+        bufs.touched.clear();
+        bufs.steps = 0;
+        self.analysis = bufs;
+        result
+    }
+
+    /// Marks trail entry `root` for the current analysis and returns how
+    /// many entries became marked. Level-0 and already reached entries
+    /// are skipped; in `bool_only` mode a word entry is replaced by its
+    /// antecedents, transitively (depth-first, last antecedent first).
+    /// Every reached entry's clause reason joins `used`, and every newly
+    /// marked entry's variable is bumped.
+    fn mark(
+        &mut self,
+        bufs: &mut AnalysisBufs,
+        root: u32,
+        bool_only: bool,
+        used: &mut Vec<u32>,
+    ) -> u32 {
+        let mut marked = 0;
+        bufs.stack.push(root);
+        while let Some(i) = bufs.stack.pop() {
+            let e = &self.trail[i as usize];
+            if e.level == 0 || bufs.seen[i as usize] != 0 {
+                continue;
+            }
+            bufs.touched.push(i);
+            if let Reason::Clause(c) = e.reason {
+                used.push(c);
+            }
+            if bool_only && !e.is_bool() {
+                bufs.seen[i as usize] = SEEN;
+                bufs.steps += 1;
+                bufs.stack.extend_from_slice(&self.ant_pool[e.ants.range()]);
+            } else {
+                bufs.seen[i as usize] = MARKED;
+                bufs.level_marks[e.level as usize] += 1;
+                marked += 1;
+                let var = e.var;
+                self.bump(var);
+            }
+        }
+        marked
+    }
+
+    /// Builds the lemma of a finished walk whose UIP is trail entry `uip`:
+    /// the UIP literal, then every other marked entry in descending trail
+    /// order.
+    fn emit_lemma(
+        &mut self,
+        bufs: &AnalysisBufs,
+        uip: usize,
+        conflict: &ConflictInfo,
+        mut used: Vec<u32>,
+    ) -> Analyzed {
+        let mut rest: Vec<u32> = bufs
+            .touched
+            .iter()
+            .copied()
+            .filter(|&i| i as usize != uip && bufs.seen[i as usize] == MARKED)
+            .collect();
+        rest.sort_unstable_by(|a, b| b.cmp(a));
+        let mut lits = Vec::with_capacity(rest.len() + 1);
+        lits.push(self.trail[uip].as_conflict_lit());
+        lits.extend(rest.iter().map(|&i| self.trail[i as usize].as_conflict_lit()));
+        // Each mark is the latest entry of its variable at the time it was
+        // referenced, and expansion runs in decreasing trail order, so no
+        // variable is marked twice (DESIGN.md §2.3).
+        debug_assert!(
+            {
+                let mut vars: Vec<VarId> = lits.iter().map(HLit::var).collect();
+                vars.sort_unstable();
+                vars.windows(2).all(|w| w[0] != w[1])
+            },
+            "lemma mentions a variable twice"
+        );
+        let level = self.trail[uip].level;
+        // Levels are monotone along the trail: the first of the rest is
+        // the highest.
+        let blevel = rest.first().map_or(0, |&i| self.trail[i as usize].level);
+        debug_assert!(blevel < level);
+        used.sort_unstable();
+        used.dedup();
+        for &cid in &used {
+            self.bump_clause(cid);
+        }
+        self.obs
+            .conflict(lits.len() as u32, conflict.antecedents.len() as u32, level);
+        Analyzed { lits, blevel, used }
+    }
+
+    /// Learns the analyzed clause, backtracks, and asserts the UIP literal.
+    /// Returns the learned clause's id (for proof logging).
+    pub fn learn_and_backtrack(&mut self, analyzed: Analyzed) -> u32 {
+        self.stats.backtracks += 1;
+        if analyzed.blevel == 0 {
+            self.stats.restarts += 1;
+        }
+        // Glue is computed while the lemma's literals are still
+        // assigned, i.e. before the backtrack unwinds their levels.
+        let lbd = self.compute_lbd(&analyzed.lits);
+        self.ema_fast += (lbd as f64 - self.ema_fast) / 32.0;
+        self.ema_slow += (lbd as f64 - self.ema_slow) / 4096.0;
+        // Trail length is likewise sampled pre-backtrack: it feeds the
+        // restart-blocking test in `should_restart`.
+        let trail_len = self.trail.len() as f64;
+        self.last_conflict_trail = trail_len;
+        if self.ema_trail == 0.0 {
+            self.ema_trail = trail_len;
+        } else {
+            self.ema_trail += (trail_len - self.ema_trail) / 32.0;
+        }
+        self.conflicts_since_restart += 1;
+        self.learned_since_reduce += 1;
+        self.obs.clause_glue(lbd);
+        self.backtrack(analyzed.blevel);
+        let uip = analyzed.lits[0];
+        let cid = self.add_clause(analyzed.lits, true);
+        let clause = &mut self.clauses[cid as usize];
+        clause.lbd = lbd;
+        clause.activity = self.cla_inc;
+        // Assert the UIP literal immediately (the clause is unit now).
+        if let HLit::Bool { var, value } = uip {
+            if !self.dom(var).is_fixed() {
+                let ants = self.intern_clause_ants(cid);
+                self.apply(var, Dom::B(Tribool::from(value)), Reason::Clause(cid), ants);
+            }
+        }
+        self.decay();
+        cid
+    }
+
+    /// The current decision stack, innermost level last: for each level,
+    /// the decision variable, its value, and whether the chronological
+    /// search already flipped it. Used by proof logging in the
+    /// learning-free mode, where each conflict refutes the decision path
+    /// itself.
+    pub fn decision_stack(&self) -> Vec<(VarId, bool, bool)> {
+        self.trail_lim
+            .iter()
+            .zip(&self.flipped)
+            .map(|(&first, &flipped)| {
+                let e = &self.trail[first];
+                let value = e.new.tri().to_bool().expect("decisions are Boolean");
+                (e.var, value, flipped)
+            })
+            .collect()
+    }
+}
+
+#[cfg(test)]
+impl Engine {
+    /// Records an implied trail entry at the current level with the given
+    /// antecedent trail indices, for hand-built implication graphs.
+    pub(crate) fn imply(&mut self, var: VarId, new: Dom, reason: Reason, ants: &[u32]) {
+        let start = self.ant_pool.len() as u32;
+        self.ant_pool.extend_from_slice(ants);
+        let span = Span {
+            start,
+            len: ants.len() as u32,
+        };
+        self.apply(var, new, reason, span);
+    }
+
+    /// The quadratic analysis [`Engine::analyze_mode`] replaced, kept as
+    /// its test oracle: per resolution step it rescans every mark for the
+    /// maximum level and the marks at it, and it dedups the lemma per
+    /// variable (keeping the latest entry). Same lemma literal set,
+    /// backtrack level, `used` list and bump sequence; the literals after
+    /// the first come in `HashMap` order.
+    pub(crate) fn analyze_reference(
+        &mut self,
+        conflict: &ConflictInfo,
+        bool_only: bool,
+    ) -> Option<Analyzed> {
         self.stats.conflicts += 1;
         let mut marked = vec![false; self.trail.len()];
         let mut visited = vec![false; self.trail.len()];
@@ -1191,64 +1459,6 @@ impl Engine {
                 return None;
             }
         }
-    }
-
-    /// Learns the analyzed clause, backtracks, and asserts the UIP literal.
-    /// Returns the learned clause's id (for proof logging).
-    pub fn learn_and_backtrack(&mut self, analyzed: Analyzed) -> u32 {
-        self.stats.backtracks += 1;
-        if analyzed.blevel == 0 {
-            self.stats.restarts += 1;
-        }
-        // Glue is computed while the lemma's literals are still
-        // assigned, i.e. before the backtrack unwinds their levels.
-        let lbd = self.compute_lbd(&analyzed.lits);
-        self.ema_fast += (lbd as f64 - self.ema_fast) / 32.0;
-        self.ema_slow += (lbd as f64 - self.ema_slow) / 4096.0;
-        // Trail length is likewise sampled pre-backtrack: it feeds the
-        // restart-blocking test in `should_restart`.
-        let trail_len = self.trail.len() as f64;
-        self.last_conflict_trail = trail_len;
-        if self.ema_trail == 0.0 {
-            self.ema_trail = trail_len;
-        } else {
-            self.ema_trail += (trail_len - self.ema_trail) / 32.0;
-        }
-        self.conflicts_since_restart += 1;
-        self.learned_since_reduce += 1;
-        self.obs.clause_glue(lbd);
-        self.backtrack(analyzed.blevel);
-        let uip = analyzed.lits[0];
-        let cid = self.add_clause(analyzed.lits, true);
-        let clause = &mut self.clauses[cid as usize];
-        clause.lbd = lbd;
-        clause.activity = self.cla_inc;
-        // Assert the UIP literal immediately (the clause is unit now).
-        if let HLit::Bool { var, value } = uip {
-            if !self.dom(var).is_fixed() {
-                let ants = self.intern_clause_ants(cid);
-                self.apply(var, Dom::B(Tribool::from(value)), Reason::Clause(cid), ants);
-            }
-        }
-        self.decay();
-        cid
-    }
-
-    /// The current decision stack, innermost level last: for each level,
-    /// the decision variable, its value, and whether the chronological
-    /// search already flipped it. Used by proof logging in the
-    /// learning-free mode, where each conflict refutes the decision path
-    /// itself.
-    pub fn decision_stack(&self) -> Vec<(VarId, bool, bool)> {
-        self.trail_lim
-            .iter()
-            .zip(&self.flipped)
-            .map(|(&first, &flipped)| {
-                let e = &self.trail[first];
-                let value = e.new.tri().to_bool().expect("decisions are Boolean");
-                (e.var, value, flipped)
-            })
-            .collect()
     }
 }
 

@@ -1055,3 +1055,375 @@ fn supervised_session_answers_and_degrades() {
     assert!(q.certified.result.is_sat());
     assert!(q.fallbacks.is_empty());
 }
+
+// ---------------------------------------------------------------------
+// Conflict analysis: the trail walk against its quadratic reference
+// ---------------------------------------------------------------------
+
+mod analysis_walk {
+    use std::collections::HashSet;
+    use std::sync::Arc;
+
+    use rtl_interval::{Interval, Tribool};
+    use rtl_ir::{CmpOp, Netlist, SignalId};
+    use rtl_obs::{HistKind, ObsConfig, ObsHandle};
+
+    use super::{build_random, Step};
+    use crate::engine::{Analyzed, ConflictInfo, Engine, Propagation};
+    use crate::types::{Dom, HLit, Reason, VarId};
+
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        *state >> 33
+    }
+
+    /// Runs the reference analysis on a clone of `engine` and the trail
+    /// walk on `engine` itself, asserts that they learn the same lemma
+    /// and leave the same activities behind, and returns the walk's
+    /// result.
+    fn analyze_both(
+        engine: &mut Engine,
+        conflict: &ConflictInfo,
+        bool_only: bool,
+    ) -> Option<Analyzed> {
+        let mut twin = engine.clone();
+        twin.obs = ObsHandle::off();
+        let want = twin.analyze_reference(conflict, bool_only);
+        let got = engine.analyze_mode(conflict, bool_only);
+        match (&want, &got) {
+            (None, None) => {}
+            (Some(w), Some(g)) => {
+                assert_eq!(g.lits[0], w.lits[0], "UIP literal");
+                assert_eq!(g.lits.len(), w.lits.len(), "lemma width");
+                let set = |lits: &[HLit]| lits.iter().copied().collect::<HashSet<_>>();
+                assert_eq!(set(&g.lits), set(&w.lits), "lemma literals");
+                assert_eq!(g.blevel, w.blevel, "backtrack level");
+                assert_eq!(g.used, w.used, "antecedent clauses");
+                // The UIP first, then the other marks in descending
+                // trail order.
+                let at = |l: &HLit| {
+                    engine
+                        .trail
+                        .iter()
+                        .rposition(|e| e.as_conflict_lit() == *l)
+                        .expect("a lemma literal negates a trail entry")
+                };
+                let idx: Vec<usize> = g.lits.iter().map(at).collect();
+                assert!(idx.windows(2).all(|p| p[0] > p[1]), "literal order {idx:?}");
+            }
+            _ => panic!("walk {got:?} vs reference {want:?}"),
+        }
+        let bits = |a: &[f64]| a.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&engine.activity), bits(&twin.activity), "variable activities");
+        let clause_bits =
+            |e: &Engine| e.clauses.iter().map(|c| c.activity.to_bits()).collect::<Vec<_>>();
+        assert_eq!(clause_bits(engine), clause_bits(&twin), "clause activities");
+        assert_eq!(engine.stats, twin.stats);
+        got
+    }
+
+    /// Drives a learning search with random decisions over `n` under
+    /// `goal`, checking every conflict with [`analyze_both`], and returns
+    /// how many conflicts were compared. A complete assignment restarts
+    /// from the root, so lemmas keep accumulating until the instance is
+    /// refuted or `rounds` decisions were made.
+    fn cross_check_search(
+        n: &Netlist,
+        goal: SignalId,
+        bool_only: bool,
+        seed: u64,
+        rounds: usize,
+    ) -> usize {
+        let compiled = Arc::new(crate::compile::compile(n));
+        let mut engine = Engine::new(Arc::clone(&compiled));
+        if !engine.assert_external(compiled.var_of(goal), Dom::B(Tribool::True)) {
+            return 0;
+        }
+        engine.schedule_all();
+        let mut rng = seed;
+        let mut compared = 0;
+        let mut decisions = 0;
+        while decisions < rounds {
+            match engine.propagate() {
+                Propagation::Conflict(conflict) => {
+                    compared += 1;
+                    match analyze_both(&mut engine, &conflict, bool_only) {
+                        Some(lemma) => {
+                            engine.learn_and_backtrack(lemma);
+                        }
+                        None => break,
+                    }
+                }
+                Propagation::Fixpoint => {
+                    let free: Vec<VarId> = compiled
+                        .decision_vars
+                        .iter()
+                        .copied()
+                        .filter(|&v| !engine.dom(v).is_fixed())
+                        .collect();
+                    if free.is_empty() {
+                        if engine.level() == 0 {
+                            break;
+                        }
+                        engine.backtrack(0);
+                        continue;
+                    }
+                    let r = lcg(&mut rng);
+                    engine.decide(free[r as usize % free.len()], r & 1 == 1);
+                    decisions += 1;
+                }
+                Propagation::Aborted(reason) => unreachable!("no budget set: {reason:?}"),
+            }
+        }
+        compared
+    }
+
+    fn random_steps(rng: &mut u64, len: usize) -> Vec<Step> {
+        const OPS: [CmpOp; 6] = [
+            CmpOp::Eq,
+            CmpOp::Ne,
+            CmpOp::Lt,
+            CmpOp::Le,
+            CmpOp::Gt,
+            CmpOp::Ge,
+        ];
+        (0..len)
+            .map(|_| {
+                let (a, b, c) = (lcg(rng) as usize, lcg(rng) as usize, lcg(rng) as usize);
+                match lcg(rng) % 11 {
+                    0 => Step::Add(a, b),
+                    1 => Step::Sub(a, b),
+                    2 => Step::MulConst(a, (b % 6) as i64),
+                    3 => Step::Ite(a, b, c),
+                    4 => Step::Cmp(OPS[b % 6], a, c),
+                    5 => Step::Shr(a, (b % 3) as u32),
+                    6 => Step::Extract(a, (b % 4) as u32, (c % 4) as u32),
+                    7 => Step::Not(a),
+                    8 => Step::And(a, b),
+                    9 => Step::Or(a, b),
+                    _ => Step::Xor(a, b),
+                }
+            })
+            .collect()
+    }
+
+    /// A `mux_search`-style selector chain: `x_{i+1} = sel_i ? x_i + w_i
+    /// : x_i` from `x_0 = 0`, required to end on a sum no selection
+    /// reaches (UNSAT, and conflict-heavy under any decision order).
+    fn selector_chain(stages: usize) -> (Netlist, SignalId) {
+        let mut state = 0x9e37_79b9_u64;
+        let weights: Vec<i64> = (0..stages)
+            .map(|_| 60 + lcg(&mut state) as i64 % 128)
+            .collect();
+        let total: i64 = weights.iter().sum();
+        let mut reach = vec![false; total as usize + 1];
+        reach[0] = true;
+        for &w in &weights {
+            for s in (w as usize..reach.len()).rev() {
+                if reach[s - w as usize] {
+                    reach[s] = true;
+                }
+            }
+        }
+        let target = (total / 3..total)
+            .find(|&t| !reach[t as usize])
+            .expect("sparse sums leave a gap");
+        let mut n = Netlist::new("selector_chain");
+        let x0 = n.input_word("x0", 28).unwrap();
+        let mut x = x0;
+        for (i, &w) in weights.iter().enumerate() {
+            let sel = n.input_bool(&format!("sel{i}")).unwrap();
+            let wi = n.const_word(w, 28).unwrap();
+            let taken = n.add(x, wi).unwrap();
+            x = n.ite(sel, taken, x).unwrap();
+        }
+        let start = n.eq_const(x0, 0).unwrap();
+        let end = n.eq_const(x, target).unwrap();
+        let goal = n.and(&[start, end]).unwrap();
+        (n, goal)
+    }
+
+    #[test]
+    fn trail_walk_matches_reference_on_random_searches() {
+        let mut rng = 0x5eed_u64;
+        let mut compared = [0usize; 2];
+        for case in 0..400 {
+            let len = 1 + lcg(&mut rng) as usize % 24;
+            let steps = random_steps(&mut rng, len);
+            let (n, goal) = build_random(&steps, (lcg(&mut rng) % 16) as i64);
+            for bool_only in [false, true] {
+                compared[usize::from(bool_only)] +=
+                    cross_check_search(&n, goal, bool_only, case, 200);
+            }
+        }
+        assert!(
+            compared.iter().all(|&c| c >= 400),
+            "too few conflicts compared (hybrid, bool-only): {compared:?}"
+        );
+    }
+
+    #[test]
+    fn trail_walk_matches_reference_on_selector_chains() {
+        let mut compared = [0usize; 2];
+        for stages in [4, 6, 8, 10, 12] {
+            let (n, goal) = selector_chain(stages);
+            for bool_only in [false, true] {
+                for seed in 0..4 {
+                    compared[usize::from(bool_only)] +=
+                        cross_check_search(&n, goal, bool_only, seed, 400);
+                }
+            }
+        }
+        assert!(
+            compared.iter().all(|&c| c >= 800),
+            "too few conflicts compared (hybrid, bool-only): {compared:?}"
+        );
+    }
+
+    /// An engine over six free Booleans `b0..b5` and three 4-bit words
+    /// `w0..w2` with no constraints, for hand-built implication graphs.
+    fn hand_engine() -> (Engine, Vec<VarId>, Vec<VarId>) {
+        let mut n = Netlist::new("hand");
+        let b: Vec<SignalId> = (0..6).map(|i| n.input_bool(&format!("b{i}")).unwrap()).collect();
+        let w: Vec<SignalId> = (0..3)
+            .map(|i| n.input_word(&format!("w{i}"), 4).unwrap())
+            .collect();
+        let compiled = Arc::new(crate::compile::compile(&n));
+        let bv = b.iter().map(|&s| compiled.var_of(s)).collect();
+        let wv = w.iter().map(|&s| compiled.var_of(s)).collect();
+        (Engine::new(compiled), bv, wv)
+    }
+
+    const TRUE: Dom = Dom::B(Tribool::True);
+    /// A constraint reason; analysis never looks past the kind.
+    const BY: Reason = Reason::Constraint(0);
+
+    fn word(lo: i64, hi: i64) -> Dom {
+        Dom::W(Interval::new(lo, hi))
+    }
+
+    /// The conflict literal of `v = true`.
+    fn not(v: VarId) -> HLit {
+        HLit::Bool { var: v, value: false }
+    }
+
+    /// The conflict literal of `v ∈ [lo, hi]`.
+    fn outside(v: VarId, lo: i64, hi: i64) -> HLit {
+        HLit::Word {
+            var: v,
+            iv: Interval::new(lo, hi),
+            positive: false,
+        }
+    }
+
+    fn seeds(antecedents: &[u32]) -> ConflictInfo {
+        ConflictInfo {
+            antecedents: antecedents.to_vec(),
+            source: None,
+        }
+    }
+
+    #[test]
+    fn word_marks_at_the_conflict_level_expand_to_a_boolean_uip() {
+        let (mut e, b, w) = hand_engine();
+        let lemma = e.add_clause(vec![not(b[5])], true);
+        e.decide(b[1], true); // 0 @1
+        e.decide(b[2], true); // 1 @2
+        e.imply(w[0], word(0, 7), BY, &[1]); // 2 @2
+        e.imply(w[1], word(0, 3), Reason::Clause(lemma), &[2, 0]); // 3 @2
+        let got = analyze_both(&mut e, &seeds(&[3]), false).unwrap();
+        assert_eq!(got.lits, vec![not(b[2]), not(b[1])]);
+        assert_eq!(got.blevel, 1);
+        assert_eq!(got.used, vec![lemma]);
+    }
+
+    #[test]
+    fn analysis_level_drops_when_its_marks_resolve_below_it() {
+        let (mut e, b, w) = hand_engine();
+        e.decide(b[1], true); // 0 @1
+        e.imply(b[3], TRUE, BY, &[0]); // 1 @1
+        e.imply(b[4], TRUE, BY, &[0]); // 2 @1
+        e.decide(b[2], true); // 3 @2
+        e.imply(w[0], word(2, 9), BY, &[1, 2]); // 4 @2
+        e.imply(w[1], word(1, 5), BY, &[4]); // 5 @2
+        // Level 2 empties without a UIP; the walk goes on at level 1,
+        // whose two marks resolve to its decision.
+        let got = analyze_both(&mut e, &seeds(&[5, 4]), false).unwrap();
+        assert_eq!(got.lits, vec![not(b[1])]);
+        assert_eq!(got.blevel, 0);
+    }
+
+    #[test]
+    fn bool_only_expands_word_ancestry_transitively() {
+        let (mut e, b, w) = hand_engine();
+        e.decide(b[1], true); // 0 @1
+        e.imply(w[1], word(4, 11), BY, &[0]); // 1 @1
+        e.imply(w[0], word(4, 6), BY, &[1]); // 2 @1
+        e.decide(b[2], true); // 3 @2
+        e.imply(b[3], TRUE, BY, &[3, 2]); // 4 @2
+        let mut hybrid = e.clone();
+        let got = analyze_both(&mut hybrid, &seeds(&[4, 3]), false).unwrap();
+        assert_eq!(got.lits, vec![not(b[2]), outside(w[0], 4, 6)]);
+        assert_eq!(got.blevel, 1);
+        let got = analyze_both(&mut e, &seeds(&[4, 3]), true).unwrap();
+        assert_eq!(got.lits, vec![not(b[2]), not(b[1])]);
+        assert_eq!(got.blevel, 1);
+    }
+
+    #[test]
+    fn conflicts_resting_on_level_zero_refute() {
+        let (mut e, b, w) = hand_engine();
+        assert!(e.assert_external(b[0], TRUE)); // 0 @0
+        e.imply(w[0], word(3, 8), BY, &[0]); // 1 @0
+        assert!(analyze_both(&mut e, &seeds(&[1, 0]), false).is_none());
+        e.decide(b[1], true); // 2 @1
+        e.imply(w[1], word(0, 2), BY, &[1]); // 3 @1, level-0 ancestry only
+        assert!(analyze_both(&mut e, &seeds(&[3]), false).is_none());
+        assert!(analyze_both(&mut e, &seeds(&[3]), true).is_none());
+        assert_eq!(e.stats.conflicts, 3);
+    }
+
+    #[test]
+    fn lemma_lists_the_uip_then_descending_trail_order() {
+        let (mut e, b, w) = hand_engine();
+        e.decide(b[1], true); // 0 @1
+        e.imply(w[0], word(5, 5), BY, &[0]); // 1 @1
+        e.decide(b[2], true); // 2 @2
+        e.decide(b[3], true); // 3 @3
+        e.decide(b[4], true); // 4 @4
+        e.imply(b[5], TRUE, BY, &[2, 0, 4, 3, 1]); // 5 @4
+        let got = analyze_both(&mut e, &seeds(&[5, 4]), false).unwrap();
+        assert_eq!(
+            got.lits,
+            vec![not(b[4]), not(b[3]), not(b[2]), outside(w[0], 5, 5), not(b[1])]
+        );
+        assert_eq!(got.blevel, 3);
+    }
+
+    #[test]
+    fn analysis_histograms_sample_every_conflict() {
+        let (mut e, b, w) = hand_engine();
+        let obs = ObsHandle::armed(ObsConfig::default());
+        e.set_obs(obs.clone());
+        assert!(e.assert_external(b[0], TRUE)); // 0 @0
+        e.decide(b[1], true); // 1 @1
+        e.decide(b[2], true); // 2 @2
+        e.imply(w[0], word(0, 7), BY, &[2]); // 3 @2
+        e.imply(w[1], word(0, 3), BY, &[3, 1]); // 4 @2
+        assert!(e.analyze_mode(&seeds(&[0]), false).is_none());
+        assert!(e.analyze_mode(&seeds(&[4]), false).is_some());
+        let snap = obs.snapshot().unwrap();
+        let steps = snap.hist(HistKind::AnalysisSteps);
+        let trail = snap.hist(HistKind::AnalysisTrail);
+        assert_eq!((steps.total, trail.total), (2, 2));
+        // No step for the level-0 refutation, two (entries 4 and 3) for
+        // the lemma; both on a five-entry trail (bucket bounds 0, 1, 2,
+        // 4, 8, …).
+        assert_eq!((steps.counts[0], steps.counts[2]), (1, 1));
+        assert_eq!(trail.counts[4], 2);
+        // Only the analysis that learned a lemma traces a conflict.
+        assert_eq!(snap.hist(HistKind::LemmaWidth).total, 1);
+    }
+}

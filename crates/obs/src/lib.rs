@@ -174,6 +174,21 @@ impl ObsHandle {
         }
     }
 
+    /// A conflict analysis walked the antecedents of `steps` trail
+    /// entries on a trail of `trail` entries. Histogram-only, and fed by
+    /// every analysis (also those that refute the instance), so each
+    /// family's total equals the analyzed-conflict count.
+    #[inline]
+    pub fn analysis(&self, steps: u32, trail: u32) {
+        if let Some(obs) = &self.0 {
+            let mut obs = obs.borrow_mut();
+            obs.metrics
+                .record_hist(HistKind::AnalysisSteps, u64::from(steps));
+            obs.metrics
+                .record_hist(HistKind::AnalysisTrail, u64::from(trail));
+        }
+    }
+
     /// The trail was unwound from level `from` to level `to`.
     #[inline]
     pub fn backtrack(&self, from: u32, to: u32) {

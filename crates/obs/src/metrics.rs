@@ -27,11 +27,16 @@ pub enum HistKind {
     ClauseGlue = 5,
     /// Live learned-clause DB size at each reduction (post-deletion).
     DbSize = 6,
+    /// Trail entries whose antecedents one conflict analysis walked
+    /// (resolution steps plus `bool_only` word expansions).
+    AnalysisSteps = 7,
+    /// Trail length when a conflict analysis starts.
+    AnalysisTrail = 8,
 }
 
 impl HistKind {
     /// Every kind, index-aligned with the registry's storage.
-    pub const ALL: [HistKind; 7] = [
+    pub const ALL: [HistKind; 9] = [
         HistKind::BacktrackDepth,
         HistKind::LemmaWidth,
         HistKind::NarrowMagnitude,
@@ -39,6 +44,8 @@ impl HistKind {
         HistKind::ClqueueDepth,
         HistKind::ClauseGlue,
         HistKind::DbSize,
+        HistKind::AnalysisSteps,
+        HistKind::AnalysisTrail,
     ];
 
     /// Stable snake_case name used in `--stats-json`.
@@ -52,6 +59,8 @@ impl HistKind {
             HistKind::ClqueueDepth => "clqueue_depth",
             HistKind::ClauseGlue => "clause_glue",
             HistKind::DbSize => "db_size",
+            HistKind::AnalysisSteps => "analysis_steps",
+            HistKind::AnalysisTrail => "analysis_trail",
         }
     }
 }

@@ -17,8 +17,10 @@ use crate::json::{self, Value};
 /// Version 5 added the optional `profile` section (phase-attribution
 /// wall-clock breakdown, DESIGN.md §2.14) and the per-phase report
 /// columns derived from it; records without one read as all-zero
-/// phase times.
-pub const STATS_FORMAT: u32 = 5;
+/// phase times. Version 6 added the `analysis_steps` and
+/// `analysis_trail` histograms (conflict-analysis cost per conflict);
+/// older records still parse, without them.
+pub const STATS_FORMAT: u32 = 6;
 
 /// One recorded run, as reconstructed from a stats-json file.
 #[derive(Clone, Debug, PartialEq)]
@@ -110,7 +112,7 @@ fn profile_phase_ms(v: &Value, phase: &str) -> f64 {
 pub fn parse_record(text: &str) -> Result<RunRecord, String> {
     let v = json::parse(text)?;
     match v.get("stats_format").and_then(Value::as_u64) {
-        Some(1..=5) => {}
+        Some(1..=6) => {}
         Some(f) => return Err(format!("unsupported stats_format {f}")),
         None => return Err("not a stats-json record (no `stats_format`)".to_string()),
     }
@@ -294,6 +296,14 @@ mod tests {
         assert_eq!(r.case, "b01_p1_20");
         assert_eq!(r.restarts, 0);
         assert_eq!(r.lemmas_deleted, 0);
+    }
+
+    #[test]
+    fn records_of_every_supported_version_parse() {
+        for v in 1..=STATS_FORMAT {
+            let record = SAMPLE.replace("\"stats_format\":2", &format!("\"stats_format\":{v}"));
+            assert!(parse_record(&record).is_ok(), "stats_format {v}");
+        }
     }
 
     #[test]

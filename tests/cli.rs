@@ -256,7 +256,7 @@ fn stats_flag_prints_counters() {
     // counter lines in this exact order. Growing the block means bumping
     // `stats-format` — this test is the tripwire.
     assert!(
-        stderr.contains("c stats-format    5"),
+        stderr.contains("c stats-format    6"),
         "missing stats-format header: {stderr}"
     );
     let keys = [

@@ -239,6 +239,51 @@ fn corrupted_deletion_bookkeeping_is_never_certified() {
     );
 }
 
+#[test]
+fn proof_text_is_identical_across_repeated_solves() {
+    // Conflict analysis lists each lemma's UIP literal first and the
+    // rest in descending trail order, so the proof text is a function
+    // of the input alone: the same solve repeated in one process prints
+    // the same bytes, one-shot and across a session's queries.
+    let mux = rtl_bench::hotpath::mux_search(8);
+    let texts: Vec<String> = (0..3)
+        .map(|_| {
+            let proof = solve_logged(&mux.netlist, mux.goal, mux.config)
+                .expect("mux_search is Unsat");
+            format::print(&proof)
+        })
+        .collect();
+    assert!(texts[0].lines().count() > 10, "mux_search must learn lemmas");
+    assert_eq!(texts[1], texts[0], "second solve printed a different proof");
+    assert_eq!(texts[2], texts[0], "third solve printed a different proof");
+
+    // A b13 BMC sweep: one extend plus one assumption query per depth.
+    let sweep = || -> Vec<String> {
+        let circuit = rtlsat::itc99::b13();
+        let mut unroller = circuit.unroller();
+        let mut base = unroller.base_netlist();
+        unroller.push_frame(&mut base).unwrap();
+        let config =
+            SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
+        let mut session = Session::new(&base, config);
+        (0..12)
+            .map(|depth| {
+                if depth > 0 {
+                    session.extend(|n| unroller.push_frame(n).unwrap());
+                }
+                let bad = unroller.bad("p2", depth).unwrap();
+                let answer = session.solve(&[Assumption::yes(bad)]);
+                assert!(answer.result.is_unsat(), "b13 p2@{depth} is Unsat");
+                format::print(&answer.proof.expect("Unsat with logging has a proof"))
+            })
+            .collect()
+    };
+    let (first, second) = (sweep(), sweep());
+    for (depth, (a, b)) in first.iter().zip(&second).enumerate() {
+        assert_eq!(a, b, "b13 p2@{depth}: the two sweeps printed different proofs");
+    }
+}
+
 /// Applies one to three random text mutations: flip one bit of an ASCII
 /// byte, drop, duplicate or swap lines, or replace a number with a
 /// neighbour or an extreme value.

@@ -10,7 +10,8 @@
 
 use rtl_bench::hotpath;
 use rtlsat::hdpll::{
-    FaultPlan, HdpllResult, HdpllStage, ObsConfig, ObsHandle, SolverConfig, Supervisor,
+    FaultPlan, HdpllResult, HdpllStage, LearningMode, ObsConfig, ObsHandle, Solver, SolverConfig,
+    Supervisor,
 };
 use rtlsat::ir::Netlist;
 use rtlsat::obs::{validate_jsonl, HistKind};
@@ -137,6 +138,40 @@ fn arming_the_tracer_does_not_change_the_search() {
     assert_eq!(a.conflicts, b.conflicts);
     assert_eq!(a.backtracks, b.backtracks);
     assert_eq!(a.learned, b.learned);
+}
+
+#[test]
+fn analysis_histograms_sample_every_conflict() {
+    // Every conflict analysis, the final refutation included, feeds the
+    // two analysis-cost histograms once: their totals are the conflict
+    // count. They are histogram-only, so the armed run searches exactly
+    // like the unarmed one, under hybrid and Boolean-only learning.
+    let workload = hotpath::mux_search(6);
+    for learning in [LearningMode::Hybrid, LearningMode::BoolOnly] {
+        let config = SolverConfig {
+            learning,
+            ..workload.config
+        };
+        let mut plain = Solver::new(&workload.netlist, config);
+        workload.check(&plain.solve(workload.goal));
+        let handle = ObsHandle::armed(ObsConfig::default());
+        let mut traced = Solver::new(&workload.netlist, config);
+        traced.set_obs(handle.clone());
+        workload.check(&traced.solve(workload.goal));
+        let stats = traced.stats().engine;
+        assert_eq!(plain.stats().engine, stats, "{learning:?}: arming moved the search");
+
+        let snap = handle.snapshot().unwrap();
+        assert!(stats.conflicts > 0, "{learning:?}: the workload must conflict");
+        for kind in [HistKind::AnalysisSteps, HistKind::AnalysisTrail] {
+            assert_eq!(
+                snap.hist(kind).total,
+                stats.conflicts,
+                "{learning:?}: `{}` samples vs conflicts",
+                kind.name()
+            );
+        }
+    }
 }
 
 /// The supervisor demo instance: `both = (y = 0) ∧ (y > x)` over 4-bit
