@@ -22,9 +22,26 @@ use crate::types::{
 #[derive(Clone, Debug)]
 pub(crate) struct ConflictInfo {
     pub antecedents: Vec<u32>,
-    /// The falsified clause, when the conflict came from one (proof
-    /// logging cites it as an antecedent of the learned lemma).
-    pub source: Option<u32>,
+    /// What the conflict falsified.
+    pub falsified: Falsified,
+}
+
+/// What a conflict falsified: the last step of the learned lemma's
+/// derivation.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Falsified {
+    /// A clause (proof logging cites it as an antecedent of the lemma).
+    Clause(u32),
+    /// A constraint: its contractor emptied a domain, or — a J-conflict
+    /// — no select value of this mux justifies its output. It is the
+    /// lemma's first derivation hint.
+    Constraint(u32),
+    /// The arithmetic final check's solution box. Bounds propagation
+    /// cannot re-derive a Fourier–Motzkin refutation, so the lemma
+    /// carries no derivation hints.
+    Box,
+    /// Nothing: an injected spurious conflict.
+    Nothing,
 }
 
 /// Outcome of one [`Engine::propagate`] call.
@@ -46,7 +63,7 @@ pub(crate) enum Propagation {
 /// step; at ~10⁷ steps/s a 4096-step period bounds the overshoot past a
 /// deadline to well under a millisecond while keeping the amortized cost
 /// of the guard below measurement noise (see `BENCH_hotpath.json`).
-const POLL_PERIOD: u32 = 4096;
+pub(crate) const POLL_PERIOD: u32 = 4096;
 
 /// The in-engine resource guard: the fine-grained half of
 /// [`crate::Limits`], enforced *inside* the propagation loop rather than
@@ -57,7 +74,8 @@ struct BudgetGuard {
     deadline: Option<Instant>,
     /// Cooperative cancellation flag shared with the caller.
     cancel: Option<Arc<AtomicBool>>,
-    /// Cap on constraint propagation steps (`u64::MAX` = unlimited).
+    /// The [`EngineStats::propagations`] count at which the step cap
+    /// trips (`u64::MAX` = unlimited).
     max_propagations: u64,
     /// Cap on approximate engine memory in bytes (`u64::MAX` = unlimited),
     /// checked against [`Engine::approx_mem_bytes`] at poll points.
@@ -90,6 +108,11 @@ pub(crate) struct Analyzed {
     /// logging. Constraint-implied edges have no clause id and are
     /// covered by the checker's own lowering.
     pub used: Vec<u32>,
+    /// The lemma's derivation hints (sorted, deduplicated): the
+    /// constraint reasons of the entries the walk expanded, plus the
+    /// falsified constraint. `None` for an arithmetic conflict
+    /// ([`Falsified::Box`]).
+    pub hints: Option<Vec<u32>>,
 }
 
 /// [`AnalysisBufs::seen`] state of a trail entry reached by the current
@@ -294,7 +317,9 @@ impl Engine {
     }
 
     /// Arms the in-loop budget guard: wall-clock `deadline`, cooperative
-    /// `cancel` flag, and a cap on constraint propagation steps.
+    /// `cancel` flag, and a cap on the constraint propagation steps run
+    /// from now on (an incremental session's earlier queries are not
+    /// charged to the next one).
     pub fn set_budget(
         &mut self,
         deadline: Option<Instant>,
@@ -304,7 +329,8 @@ impl Engine {
     ) {
         self.budget.deadline = deadline;
         self.budget.cancel = cancel;
-        self.budget.max_propagations = max_propagations.unwrap_or(u64::MAX);
+        self.budget.max_propagations =
+            max_propagations.map_or(u64::MAX, |m| self.stats.propagations.saturating_add(m));
         self.budget.max_memory = max_memory.unwrap_or(u64::MAX);
     }
 
@@ -526,7 +552,7 @@ impl Engine {
         self.drain_queues();
         ConflictInfo {
             antecedents,
-            source: None,
+            falsified: Falsified::Constraint(ci),
         }
     }
 
@@ -543,7 +569,7 @@ impl Engine {
         self.drain_queues();
         ConflictInfo {
             antecedents,
-            source: Some(cl),
+            falsified: Falsified::Clause(cl),
         }
     }
 
@@ -713,7 +739,7 @@ impl Engine {
                     self.drain_queues();
                     return Propagation::Conflict(ConflictInfo {
                         antecedents: vec![last as u32],
-                        source: None,
+                        falsified: Falsified::Nothing,
                     });
                 }
             }
@@ -1113,6 +1139,9 @@ impl Engine {
     /// the UIP literal first, then the other marks in descending trail
     /// order.
     ///
+    /// The walk also collects the lemma's derivation hints for proof
+    /// certification ([`Analyzed::hints`]).
+    ///
     /// Returns `None` when the conflict is independent of all decisions —
     /// the instance is UNSAT.
     pub fn analyze_mode(&mut self, conflict: &ConflictInfo, bool_only: bool) -> Option<Analyzed> {
@@ -1124,10 +1153,10 @@ impl Engine {
         if bufs.level_marks.len() <= self.level() as usize {
             bufs.level_marks.resize(self.level() as usize + 1, 0);
         }
-        let mut used: Vec<u32> = conflict.source.into_iter().collect();
+        let (mut used, mut hints) = conflict.falsified.derivation_seeds();
         let mut nmarked = 0;
         for &i in &conflict.antecedents {
-            nmarked += self.mark(&mut bufs, i, bool_only, &mut used);
+            nmarked += self.mark(&mut bufs, i, bool_only, &mut used, &mut hints);
         }
         // Expansion only marks antecedents, which precede the expanded
         // entry, so the cursor never moves back up the trail.
@@ -1142,7 +1171,7 @@ impl Engine {
             }
             let e = self.trail[cursor];
             if e.is_bool() && bufs.level_marks[e.level as usize] == 1 {
-                break Some(self.emit_lemma(&bufs, cursor, conflict, used));
+                break Some(self.emit_lemma(&bufs, cursor, conflict, used, hints));
             }
             // The expanded entry is never a decision: a decision is the
             // *first* entry of its level, so with several marks at this
@@ -1159,9 +1188,12 @@ impl Engine {
             bufs.level_marks[e.level as usize] -= 1;
             nmarked -= 1;
             bufs.steps += 1;
+            if let Reason::Constraint(ci) = e.reason {
+                hints.push(ci);
+            }
             for k in e.ants.range() {
                 let a = self.ant_pool[k];
-                nmarked += self.mark(&mut bufs, a, bool_only, &mut used);
+                nmarked += self.mark(&mut bufs, a, bool_only, &mut used, &mut hints);
             }
         };
         self.obs.analysis(bufs.steps, self.trail.len() as u32);
@@ -1178,15 +1210,17 @@ impl Engine {
     /// Marks trail entry `root` for the current analysis and returns how
     /// many entries became marked. Level-0 and already reached entries
     /// are skipped; in `bool_only` mode a word entry is replaced by its
-    /// antecedents, transitively (depth-first, last antecedent first).
-    /// Every reached entry's clause reason joins `used`, and every newly
-    /// marked entry's variable is bumped.
+    /// antecedents, transitively (depth-first, last antecedent first),
+    /// and its constraint reason joins `hints`. Every reached entry's
+    /// clause reason joins `used`, and every newly marked entry's
+    /// variable is bumped.
     fn mark(
         &mut self,
         bufs: &mut AnalysisBufs,
         root: u32,
         bool_only: bool,
         used: &mut Vec<u32>,
+        hints: &mut Vec<u32>,
     ) -> u32 {
         let mut marked = 0;
         bufs.stack.push(root);
@@ -1202,6 +1236,9 @@ impl Engine {
             if bool_only && !e.is_bool() {
                 bufs.seen[i as usize] = SEEN;
                 bufs.steps += 1;
+                if let Reason::Constraint(ci) = e.reason {
+                    hints.push(ci);
+                }
                 bufs.stack.extend_from_slice(&self.ant_pool[e.ants.range()]);
             } else {
                 bufs.seen[i as usize] = MARKED;
@@ -1223,6 +1260,7 @@ impl Engine {
         uip: usize,
         conflict: &ConflictInfo,
         mut used: Vec<u32>,
+        hints: Vec<u32>,
     ) -> Analyzed {
         let mut rest: Vec<u32> = bufs
             .touched
@@ -1257,7 +1295,12 @@ impl Engine {
         }
         self.obs
             .conflict(lits.len() as u32, conflict.antecedents.len() as u32, level);
-        Analyzed { lits, blevel, used }
+        Analyzed {
+            lits,
+            blevel,
+            used,
+            hints: conflict.falsified.hints(hints),
+        }
     }
 
     /// Learns the analyzed clause, backtracks, and asserts the UIP literal.
@@ -1348,7 +1391,7 @@ impl Engine {
         let mut marked = vec![false; self.trail.len()];
         let mut visited = vec![false; self.trail.len()];
         let mut nmarked = 0usize;
-        let mut used: Vec<u32> = conflict.source.into_iter().collect();
+        let (mut used, mut hints) = conflict.falsified.derivation_seeds();
         // Marks an entry; in bool-only mode word entries are transitively
         // replaced by their antecedents.
         macro_rules! mark {
@@ -1364,6 +1407,9 @@ impl Engine {
                         used.push(c);
                     }
                     if bool_only && !e.is_bool() {
+                        if let Reason::Constraint(ci) = e.reason {
+                            hints.push(ci);
+                        }
                         stack.extend_from_slice(&self.ant_pool[e.ants.range()]);
                     } else {
                         marked[i as usize] = true;
@@ -1434,12 +1480,16 @@ impl Engine {
                     lits,
                     blevel,
                     used,
+                    hints: conflict.falsified.hints(hints),
                 });
             }
             // Expand the latest marked entry at lmax.
             let e_idx = latest;
             marked[e_idx] = false;
             nmarked -= 1;
+            if let Reason::Constraint(ci) = self.trail[e_idx].reason {
+                hints.push(ci);
+            }
             let span = self.trail[e_idx].ants;
             // The expanded entry is never a decision: a decision is the
             // *first* entry of its level, so with several marks at `lmax`
@@ -1459,6 +1509,30 @@ impl Engine {
                 return None;
             }
         }
+    }
+}
+
+impl Falsified {
+    /// The analysis accumulators a conflict starts from: the falsified
+    /// clause as the first `used` entry, the falsified constraint as
+    /// the first hint.
+    fn derivation_seeds(self) -> (Vec<u32>, Vec<u32>) {
+        match self {
+            Falsified::Clause(c) => (vec![c], Vec::new()),
+            Falsified::Constraint(ci) => (Vec::new(), vec![ci]),
+            Falsified::Box | Falsified::Nothing => (Vec::new(), Vec::new()),
+        }
+    }
+
+    /// The lemma's hints from those the walk collected: sorted and
+    /// deduplicated, or `None` when the conflict was arithmetic.
+    fn hints(self, mut hints: Vec<u32>) -> Option<Vec<u32>> {
+        if self == Falsified::Box {
+            return None;
+        }
+        hints.sort_unstable();
+        hints.dedup();
+        Some(hints)
     }
 }
 

@@ -11,7 +11,7 @@ use rtl_interval::{contract, Tribool};
 use rtl_ir::CmpOp;
 
 use crate::compile::CKind;
-use crate::engine::{ConflictInfo, Engine};
+use crate::engine::{ConflictInfo, Engine, Falsified};
 use crate::types::{AbortReason, Dom, VarId};
 
 /// Outcome of the final check.
@@ -254,7 +254,7 @@ pub(crate) fn final_check(engine: &mut Engine) -> FinalOutcome {
             antecedents.dedup();
             FinalOutcome::Conflict(ConflictInfo {
                 antecedents,
-                source: None,
+                falsified: Falsified::Box,
             })
         }
     }

@@ -27,7 +27,7 @@ use rtl_interval::{Interval, Tribool};
 
 use crate::compile::CKind;
 use crate::decide::{pick_activity, LearnWeights};
-use crate::engine::{ConflictInfo, Engine};
+use crate::engine::{ConflictInfo, Engine, Falsified};
 use crate::types::{Dom, VarId};
 
 /// What the structural `Decide()` found.
@@ -168,7 +168,7 @@ pub(crate) fn pick_structural(
                         }
                         return Structural::JConflict(ConflictInfo {
                             antecedents: ants,
-                            source: None,
+                            falsified: Falsified::Constraint(ci),
                         });
                     }
                     (true, false) => return Structural::Decision(*sel, true),

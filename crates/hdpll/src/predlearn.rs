@@ -218,7 +218,7 @@ pub(crate) fn run(
                 report.clauses.push(unit.clone());
                 let cid = engine.add_clause(unit, true);
                 if let Some(p) = proof.as_mut() {
-                    p.log_engine_clause(engine, cid, way_split_hints(&ways), &[]);
+                    p.log_engine_clause(engine, cid, way_split_hints(&ways), &[], None);
                 }
                 report.relations += 1;
                 engine.stats.probe_hits += 1;
@@ -256,7 +256,7 @@ pub(crate) fn run(
                 report.clauses.push(clause.clone());
                 let cid = engine.add_clause(clause, true);
                 if let Some(p) = proof.as_mut() {
-                    p.log_engine_clause(engine, cid, way_split_hints(&ways), &[]);
+                    p.log_engine_clause(engine, cid, way_split_hints(&ways), &[], None);
                 }
                 report.relations += 1;
                 weights.by_value[var.index()][usize::from(!value)] += 1.0;

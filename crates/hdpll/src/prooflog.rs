@@ -13,7 +13,11 @@
 //! `rtl-proof` ([`ProofLog::certify_pending`] → [`Checker::certify`]):
 //! a one-shot Unsat verdict hands its log to a fresh goal checker
 //! ([`crate::Solver`]), and an incremental session keeps one certifier
-//! that admits each query's new steps ([`crate::Session`]). Where a
+//! that admits each query's new steps ([`crate::Session`]). Beside each
+//! pending conflict lemma the log keeps its derivation hints — the
+//! constraints conflict analysis expanded — which let the certifier
+//! close the lemma by propagating just those; they never reach the
+//! proof text and are dropped once the step is admitted. Where a
 //! lemma needs case splits the producer did not know, the certifier's
 //! split finder supplies them and writes them into the step, so the
 //! sealed proof replays under any fresh checker. A step the certifier
@@ -40,6 +44,10 @@ pub(crate) struct ProofLog {
     /// attached to the *next* step's `dels` section (deletions carry no
     /// deductive content, so they need no step of their own).
     pending_dels: Vec<u32>,
+    /// Derivation hints of the last `hints.len()` steps, the ones not
+    /// yet handed to a certifier (`None`: the producer names no
+    /// derivation).
+    hints: Vec<Option<Vec<u32>>>,
 }
 
 impl ProofLog {
@@ -51,6 +59,7 @@ impl ProofLog {
             goal,
             clause_step: Vec::new(),
             pending_dels: Vec::new(),
+            hints: Vec::new(),
         }
     }
 
@@ -87,9 +96,15 @@ impl ProofLog {
             .collect()
     }
 
-    /// Records one step, carrying the deletions queued since the last
-    /// one; returns its id.
-    fn log_step(&mut self, lits: Vec<PLit>, splits: Vec<PSplit>, ants: Vec<u32>) -> u32 {
+    /// Records one step with its derivation hints, carrying the
+    /// deletions queued since the last one; returns its id.
+    fn log_step(
+        &mut self,
+        lits: Vec<PLit>,
+        splits: Vec<PSplit>,
+        ants: Vec<u32>,
+        hints: Option<Vec<u32>>,
+    ) -> u32 {
         let mut dels = std::mem::take(&mut self.pending_dels);
         dels.sort_unstable();
         dels.dedup();
@@ -100,6 +115,7 @@ impl ProofLog {
             ants,
             dels,
         });
+        self.hints.push(hints);
         id
     }
 
@@ -120,16 +136,19 @@ impl ProofLog {
         self.pending_dels.push(u32::MAX);
     }
 
-    /// Logs engine clause `cid` as a lemma. The literals are read from
-    /// the stored clause — *after* any injected fault corrupted them —
-    /// so a lying solver produces a proof the checker rejects rather
-    /// than a clean transcript of what it should have learned.
+    /// Logs engine clause `cid` as a lemma, with the derivation `hints`
+    /// of a conflict lemma ([`crate::engine::Analyzed::hints`]). The
+    /// literals are read from the stored clause — *after* any injected
+    /// fault corrupted them — so a lying solver produces a proof the
+    /// checker rejects rather than a clean transcript of what it should
+    /// have learned.
     pub fn log_engine_clause(
         &mut self,
         engine: &Engine,
         cid: u32,
         splits: Vec<PSplit>,
         used: &[u32],
+        hints: Option<Vec<u32>>,
     ) {
         let lits: Vec<PLit> = engine.clauses[cid as usize]
             .lits
@@ -137,7 +156,7 @@ impl ProofLog {
             .map(Self::plit)
             .collect();
         let ants = self.ants_of(used);
-        let step = self.log_step(lits, splits, ants);
+        let step = self.log_step(lits, splits, ants, hints);
         if self.clause_step.len() <= cid as usize {
             self.clause_step.resize(cid as usize + 1, NO_STEP);
         }
@@ -161,11 +180,11 @@ impl ProofLog {
                 })
                 .collect::<Vec<_>>()
         };
-        self.log_step(lemma(stack.len()), Vec::new(), Vec::new());
+        self.log_step(lemma(stack.len()), Vec::new(), Vec::new(), None);
         let mut k = stack.len();
         while k > 0 && stack[k - 1].2 {
             k -= 1;
-            self.log_step(lemma(k), Vec::new(), Vec::new());
+            self.log_step(lemma(k), Vec::new(), Vec::new(), None);
         }
     }
 
@@ -175,19 +194,31 @@ impl ProofLog {
         if self.steps.last().is_some_and(Step::is_empty_clause) {
             return;
         }
-        self.log_step(Vec::new(), Vec::new(), Vec::new());
+        self.log_step(Vec::new(), Vec::new(), Vec::new(), None);
     }
 
     /// Admits every recorded step `checker` has not admitted yet, in
-    /// order, through the certifying admission (which writes any
-    /// finder-discovered splits into the step). `false` at the first
-    /// step it cannot admit: that step and all later ones stay
-    /// unadmitted, and `checker` must not be fed further steps.
+    /// order, through the certifying admission with the step's hints
+    /// (which writes any finder-discovered splits into the step), then
+    /// drops the hints. `false` at the first step it cannot admit: that
+    /// step and all later ones stay unadmitted, and `checker` must not
+    /// be fed further steps.
     pub fn certify_pending(&mut self, checker: &mut Checker) -> bool {
         let from = checker.admitted() as usize;
-        self.steps[from..]
-            .iter_mut()
-            .all(|step| checker.certify(step).is_ok())
+        let hinted_from = self.steps.len() - self.hints.len();
+        let hints = std::mem::take(&mut self.hints);
+        self.steps[from..].iter_mut().enumerate().all(|(k, step)| {
+            let hint = (from + k)
+                .checked_sub(hinted_from)
+                .and_then(|i| hints[i].as_deref());
+            checker.certify(step, hint).is_ok()
+        })
+    }
+
+    /// Drops the hints of the pending steps, for a log no certifier
+    /// will consume (a session whose certifier retired).
+    pub fn forget_hints(&mut self) {
+        self.hints.clear();
     }
 
     /// Seals the log into a [`Proof`] over `var_count` variables after

@@ -157,13 +157,17 @@ pub struct Session {
     /// proof logging off, or once it rejected a step.
     certifier: Option<Checker>,
     /// Checker work spent certifying this session's answers, summed
-    /// over every certifier call.
+    /// over every certifier call after construction.
     certify_work: CheckReport,
     faults: FaultPlan,
     weights: LearnWeights,
     has_weights: bool,
     /// The empty clause holds: every further query is Unsat.
     root_unsat: bool,
+    /// Level 0 may be short of its propagation fixpoint — a new session,
+    /// or a query that stopped early — so the next query schedules
+    /// every constraint first.
+    sweep: bool,
     queries: u32,
     stats: SolverStats,
     obs: ObsHandle,
@@ -228,6 +232,7 @@ impl Session {
             weights: LearnWeights::new(num_vars),
             has_weights: config.learn.is_some(),
             root_unsat: false,
+            sweep: true,
             queries: 0,
             stats: SolverStats::default(),
             obs: ObsHandle::off(),
@@ -259,11 +264,12 @@ impl Session {
         self.engine.set_faults(faults);
     }
 
-    /// Checker work spent certifying this session's answers so far:
-    /// steps admitted and split-search nodes spent, summed over every
-    /// query. Each recorded step is admitted once, however many queries
-    /// cite it. `None` with proof logging off, or once the certifier
-    /// rejected a step.
+    /// Checker work spent certifying this session's answers so far,
+    /// summed over every query and every [`Session::extend`]: steps
+    /// admitted, split-search nodes, contractor applications and hint
+    /// misses. Each recorded step is admitted once, however many
+    /// queries cite it. `None` with proof logging off, or once the
+    /// certifier rejected a step.
     #[must_use]
     pub fn certify_report(&self) -> Option<CheckReport> {
         self.certifier.as_ref().map(|_| self.certify_work)
@@ -367,8 +373,9 @@ impl Session {
         self.weights.grow(num_vars);
         // The certifier grows segment-wise from the same netlist; see
         // `with_preproc` for the variable-count cross-check.
+        let work = &mut self.certify_work;
         self.certifier = self.certifier.take().and_then(|mut c| {
-            c.extend(solved);
+            charge(work, &mut c, |c| c.extend(solved));
             (c.var_count() as usize == num_vars).then_some(c)
         });
         if self.root_unsat {
@@ -468,9 +475,11 @@ impl Session {
             return self.certify_unsat(&asm);
         }
 
-        // Fresh budget per query; a previous query's sticky abort (and
-        // any propagation it cut short) is recovered by re-scheduling
-        // every constraint below.
+        // Fresh budget per query. Every query but one that stopped early
+        // leaves level 0 at its fixpoint (`extend` propagates its new
+        // constraints to one), so only after a new session or such a
+        // stop — whose sticky abort is cleared here — is every
+        // constraint re-scheduled (DESIGN.md §2.12).
         self.engine.backtrack(0);
         self.engine.clear_abort();
         let deadline = self.config.limits.max_time.map(|t| Instant::now() + t);
@@ -481,7 +490,9 @@ impl Session {
             self.config.limits.max_memory,
         );
         self.engine.set_obs(self.obs.clone());
-        self.engine.schedule_all();
+        if std::mem::take(&mut self.sweep) {
+            self.engine.schedule_all();
+        }
         let stats_base = self.engine.stats;
 
         let mut acc = PhaseAcc::<SEARCH_PHASES>::new(self.obs.profiling());
@@ -537,10 +548,11 @@ impl Session {
                     None => false,
                     Some(mut a) => {
                         let used = std::mem::take(&mut a.used);
+                        let hints = a.hints.take();
                         let cid = engine.learn_and_backtrack(a);
                         acc.tick(P_ANALYZE);
                         if let Some(p) = proof.as_mut() {
-                            p.log_engine_clause(engine, cid, Vec::new(), &used);
+                            p.log_engine_clause(engine, cid, Vec::new(), &used, hints);
                             acc.tick(P_PROOF);
                         }
                         if engine.should_restart(restart_mode) {
@@ -691,12 +703,15 @@ impl Session {
                 self.certify_unsat(&asm)
             }
             Verdict::AssumptionConflict => self.certify_unsat(&asm),
-            Verdict::Unknown(reason) => Certified {
-                result: HdpllResult::Unknown,
-                cert: SessionCert::Uncertified,
-                proof: None,
-                abort: Some(reason),
-            },
+            Verdict::Unknown(reason) => {
+                self.sweep = true;
+                Certified {
+                    result: HdpllResult::Unknown,
+                    cert: SessionCert::Uncertified,
+                    proof: None,
+                    abort: Some(reason),
+                }
+            }
         };
         self.obs.profile_exit();
 
@@ -719,11 +734,15 @@ impl Session {
     /// Admits the steps recorded since the certifier last ran. A step
     /// it rejects retires the certifier for the rest of the session.
     fn certify_pending(&mut self) {
-        if let (Some(log), Some(c)) = (&mut self.proof, &mut self.certifier) {
-            let admitted_all = charge(&mut self.certify_work, c, |c| log.certify_pending(c));
-            if !admitted_all {
-                self.certifier = None;
+        match (&mut self.proof, &mut self.certifier) {
+            (Some(log), Some(c)) => {
+                let admitted_all = charge(&mut self.certify_work, c, |c| log.certify_pending(c));
+                if !admitted_all {
+                    self.certifier = None;
+                }
             }
+            (Some(log), None) => log.forget_hints(),
+            (None, _) => {}
         }
     }
 
@@ -775,6 +794,26 @@ impl Session {
     }
 }
 
+#[cfg(test)]
+impl Session {
+    /// Makes the next query schedule every constraint, whether or not
+    /// level 0 may be short of its fixpoint.
+    pub(crate) fn force_sweep(&mut self) {
+        self.sweep = true;
+    }
+
+    /// The engine's constraint count: what a query-start sweep steps.
+    pub(crate) fn constraint_count(&self) -> u64 {
+        self.engine.compiled.cons.len() as u64
+    }
+
+    /// The live engine counters ([`Session::stats`] only catches up at
+    /// the end of each query).
+    pub(crate) fn engine_stats(&self) -> crate::EngineStats {
+        self.engine.stats
+    }
+}
+
 /// Runs `f` on the certifier and adds the checker work it did to `work`.
 fn charge<T>(work: &mut CheckReport, c: &mut Checker, f: impl FnOnce(&mut Checker) -> T) -> T {
     let before = c.report();
@@ -782,6 +821,8 @@ fn charge<T>(work: &mut CheckReport, c: &mut Checker, f: impl FnOnce(&mut Checke
     let after = c.report();
     work.steps += after.steps - before.steps;
     work.search_nodes += after.search_nodes - before.search_nodes;
+    work.cons_steps += after.cons_steps - before.cons_steps;
+    work.hint_misses += after.hint_misses - before.hint_misses;
     out
 }
 

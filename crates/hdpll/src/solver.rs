@@ -483,10 +483,11 @@ impl Solver {
                         None => false,
                         Some(mut a) => {
                             let used = std::mem::take(&mut a.used);
+                            let hints = a.hints.take();
                             let cid = engine.learn_and_backtrack(a);
                             acc.tick(P_ANALYZE);
                             if let Some(p) = proof.as_mut() {
-                                p.log_engine_clause(engine, cid, Vec::new(), &used);
+                                p.log_engine_clause(engine, cid, Vec::new(), &used, hints);
                                 acc.tick(P_PROOF);
                             }
                             // Scheduled restart, then DB housekeeping

@@ -1057,6 +1057,129 @@ fn supervised_session_answers_and_degrades() {
 }
 
 // ---------------------------------------------------------------------
+// The query-start rule: a session query re-propagates every constraint
+// only when level 0 may be short of its fixpoint
+// ---------------------------------------------------------------------
+
+/// The end-to-end benchmark's session configuration.
+fn sp_proof() -> SolverConfig {
+    SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true)
+}
+
+/// A b13 netlist unrolled to `frames` frames, with its unroller.
+fn b13_frames(frames: usize) -> (rtl_ir::seq::Unroller, Netlist) {
+    let mut unroller = rtl_itc99::b13().unroller();
+    let mut n = unroller.base_netlist();
+    for _ in 0..frames {
+        unroller.push_frame(&mut n).unwrap();
+    }
+    (unroller, n)
+}
+
+/// What a query answered and how: verdict, certificate and proof text.
+fn answer_text(c: &crate::Certified) -> (bool, SessionCert, Option<String>) {
+    let text = c.proof.as_ref().map(rtl_proof::format::print);
+    (c.result.is_unsat(), c.cert, text)
+}
+
+/// The search counters a query spent (`before` → `after`).
+fn search_spend(before: &crate::EngineStats, after: &crate::EngineStats) -> [u64; 4] {
+    [
+        after.conflicts - before.conflicts,
+        after.decisions - before.decisions,
+        after.narrowings - before.narrowings,
+        after.learned - before.learned,
+    ]
+}
+
+#[test]
+fn query_start_sweep_runs_only_where_it_can_change_something() {
+    // Twin b13 sweeps, one extend plus one query per depth; one twin
+    // re-propagates every constraint before each query. The search and
+    // the proofs are identical, and the sweep only ever costs its own
+    // steps.
+    for (prop, depths) in [("p2", 20), ("p8", 15)] {
+        let (mut up, base) = b13_frames(1);
+        let (mut uf, _) = b13_frames(1);
+        let mut plain = Session::new(&base, sp_proof());
+        let mut forced = Session::new(&base, sp_proof());
+        for depth in 0..depths {
+            if depth > 0 {
+                plain.extend(|n| up.push_frame(n).unwrap());
+                forced.extend(|n| uf.push_frame(n).unwrap());
+            }
+            let q = [Assumption::yes(up.bad(prop, depth).unwrap())];
+            forced.force_sweep();
+            let swept = forced.constraint_count();
+            let (p0, f0) = (plain.engine_stats(), forced.engine_stats());
+            let a = plain.solve(&q);
+            let b = forced.solve(&q);
+            let (p1, f1) = (plain.engine_stats(), forced.engine_stats());
+            let tag = format!("{prop}@{depth}");
+            assert!(a.result.is_unsat(), "{tag}");
+            assert_eq!(answer_text(&a), answer_text(&b), "{tag}");
+            assert_eq!(search_spend(&p0, &p1), search_spend(&f0, &f1), "{tag}");
+            // A new session sweeps on its first query either way.
+            let skipped = if depth == 0 { 0 } else { swept };
+            assert_eq!(
+                f1.propagations - f0.propagations,
+                p1.propagations - p0.propagations + skipped,
+                "{tag}"
+            );
+        }
+    }
+}
+
+#[test]
+fn an_interrupted_query_is_followed_by_a_sweep() {
+    // A query cut short leaves level 0 possibly short of its fixpoint,
+    // so the next query re-propagates every constraint. Here the cut
+    // lands inside the sweep itself, before any conflict, so the next
+    // query answers exactly as a fresh session does.
+    let (unroller, n) = b13_frames(50);
+    let q = [Assumption::yes(unroller.bad("p2", 49).unwrap())];
+    let mut fresh = Session::with_preproc(&n, sp_proof(), false);
+    let before = fresh.engine_stats();
+    let want = fresh.solve(&q);
+    let want_props = fresh.engine_stats().propagations - before.propagations;
+    assert!(want.result.is_unsat());
+    for budget in [true, false] {
+        let mut s = Session::with_preproc(&n, sp_proof(), false);
+        // A cancellation is seen at the engine's next poll, at most one
+        // poll period into the sweep.
+        assert!(s.constraint_count() > u64::from(crate::engine::POLL_PERIOD));
+        let cut = if budget {
+            s.set_limits(Limits {
+                max_propagations: Some(1),
+                ..Limits::default()
+            });
+            let cut = s.solve(&q);
+            s.set_limits(Limits::default());
+            cut
+        } else {
+            let cancel = crate::CancelToken::new();
+            cancel.cancel();
+            s.solve_cancellable(&q, &cancel)
+        };
+        let reason = if budget {
+            crate::AbortReason::Propagations
+        } else {
+            crate::AbortReason::Cancelled
+        };
+        assert_eq!(cut.abort, Some(reason));
+        assert_eq!(s.engine_stats().conflicts, 0, "{reason:?}: no search yet");
+        let before = s.engine_stats();
+        let got = s.solve(&q);
+        assert_eq!(
+            s.engine_stats().propagations - before.propagations,
+            want_props,
+            "{reason:?}: the next query sweeps"
+        );
+        assert_eq!(answer_text(&got), answer_text(&want), "{reason:?}");
+    }
+}
+
+// ---------------------------------------------------------------------
 // Conflict analysis: the trail walk against its quadratic reference
 // ---------------------------------------------------------------------
 
@@ -1069,7 +1192,7 @@ mod analysis_walk {
     use rtl_obs::{HistKind, ObsConfig, ObsHandle};
 
     use super::{build_random, Step};
-    use crate::engine::{Analyzed, ConflictInfo, Engine, Propagation};
+    use crate::engine::{Analyzed, ConflictInfo, Engine, Falsified, Propagation};
     use crate::types::{Dom, HLit, Reason, VarId};
 
     fn lcg(state: &mut u64) -> u64 {
@@ -1101,6 +1224,7 @@ mod analysis_walk {
                 assert_eq!(set(&g.lits), set(&w.lits), "lemma literals");
                 assert_eq!(g.blevel, w.blevel, "backtrack level");
                 assert_eq!(g.used, w.used, "antecedent clauses");
+                assert_eq!(g.hints, w.hints, "derivation hints");
                 // The UIP first, then the other marks in descending
                 // trail order.
                 let at = |l: &HLit| {
@@ -1321,7 +1445,7 @@ mod analysis_walk {
     fn seeds(antecedents: &[u32]) -> ConflictInfo {
         ConflictInfo {
             antecedents: antecedents.to_vec(),
-            source: None,
+            falsified: Falsified::Nothing,
         }
     }
 
@@ -1337,6 +1461,36 @@ mod analysis_walk {
         assert_eq!(got.lits, vec![not(b[2]), not(b[1])]);
         assert_eq!(got.blevel, 1);
         assert_eq!(got.used, vec![lemma]);
+    }
+
+    #[test]
+    fn hints_name_the_expanded_entries_and_the_falsified_constraint() {
+        let by = Reason::Constraint;
+        let (mut e, b, w) = hand_engine();
+        let clause = e.add_clause(vec![not(b[5])], true);
+        e.decide(b[1], true); // 0 @1
+        e.imply(w[1], word(4, 11), by(11), &[0]); // 1 @1
+        e.imply(w[0], word(4, 6), by(10), &[1]); // 2 @1
+        e.decide(b[2], true); // 3 @2
+        e.imply(w[2], word(0, 3), by(12), &[3]); // 4 @2
+        e.imply(b[3], TRUE, by(13), &[4, 2]); // 5 @2
+        let conflict = |falsified| ConflictInfo {
+            antecedents: vec![5, 3],
+            falsified,
+        };
+        // The walk expands entries 5 and 4; entry 2 stays in the cut.
+        let got = analyze_both(&mut e, &conflict(Falsified::Constraint(20)), false).unwrap();
+        assert_eq!(got.lits, vec![not(b[2]), outside(w[0], 4, 6)]);
+        assert_eq!(got.hints, Some(vec![12, 13, 20]));
+        // Boolean-only learning also expands the word ancestry 2 → 1.
+        let got = analyze_both(&mut e, &conflict(Falsified::Constraint(20)), true).unwrap();
+        assert_eq!(got.hints, Some(vec![10, 11, 12, 13, 20]));
+        // A falsified clause is an antecedent, not a hint.
+        let got = analyze_both(&mut e, &conflict(Falsified::Clause(clause)), false).unwrap();
+        assert_eq!((got.used, got.hints), (vec![clause], Some(vec![12, 13])));
+        // An arithmetic conflict carries no hints at all.
+        let got = analyze_both(&mut e, &conflict(Falsified::Box), false).unwrap();
+        assert_eq!(got.hints, None);
     }
 
     #[test]

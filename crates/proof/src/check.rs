@@ -10,6 +10,7 @@
 //! lemma is implied iff every branch of the (given) split tree dies.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
 use rtl_interval::{contract, Interval, Tribool};
 use rtl_ir::{Netlist, SignalId};
@@ -151,6 +152,12 @@ pub struct CheckReport {
     /// Total split-search nodes visited (each node is one propagation
     /// fixpoint).
     pub search_nodes: u64,
+    /// Contractor applications over every fixpoint the checker ran:
+    /// base propagation, growth, clause installation and refutations.
+    pub cons_steps: u64,
+    /// Steps whose derivation hints ([`Checker::certify`]) did not
+    /// close the refutation, so the unrestricted fallback decided them.
+    pub hint_misses: u32,
 }
 
 fn sat_i64(v: i128) -> i64 {
@@ -434,6 +441,8 @@ struct Scratch {
     cl_q: VecDeque<u32>,
     in_cl: Vec<bool>,
     changes: Vec<(u32, VDom)>,
+    /// Contractor applications so far ([`CheckReport::cons_steps`]).
+    cons_steps: u64,
 }
 
 /// The borrowed immutable half of the checker during a search.
@@ -444,11 +453,17 @@ struct Ctx<'a> {
     /// Retired clauses (deletion-aware proofs): their literal vectors
     /// are empty, so without this flag they would read as falsified.
     deleted: &'a [bool],
+    /// Per constraint: may it be scheduled? `None` allows every
+    /// contractor; a hinted refutation allows only the hinted ones.
+    allow: Option<&'a [bool]>,
 }
 
 impl Ctx<'_> {
     fn schedule_var(&self, var: u32, scratch: &mut Scratch) {
         for &ci in &self.lowered.watch[var as usize] {
+            if self.allow.is_some_and(|allow| !allow[ci as usize]) {
+                continue;
+            }
             if !scratch.in_cons[ci as usize] {
                 scratch.in_cons[ci as usize] = true;
                 scratch.cons_q.push_back(ci);
@@ -462,14 +477,16 @@ impl Ctx<'_> {
         }
     }
 
-    /// Runs contractors + clause unit propagation to a fixpoint.
-    /// `false` on conflict (empty domain / falsified clause).
+    /// Runs contractors + clause unit propagation to a fixpoint, from
+    /// the watchers of `seed_vars`, the constraints `seed_cons` and the
+    /// clauses `seed_clauses`. `false` on conflict (empty domain /
+    /// falsified clause).
     fn fixpoint(
         &self,
         doms: &mut [VDom],
         scratch: &mut Scratch,
         seed_vars: &[u32],
-        seed_all_cons: bool,
+        seed_cons: Range<u32>,
         seed_clauses: &[u32],
     ) -> bool {
         scratch.cons_q.clear();
@@ -479,11 +496,9 @@ impl Ctx<'_> {
         scratch.in_cl.clear();
         scratch.in_cl.resize(self.clauses.len(), false);
 
-        if seed_all_cons {
-            for ci in 0..self.lowered.cons.len() as u32 {
-                scratch.in_cons[ci as usize] = true;
-                scratch.cons_q.push_back(ci);
-            }
+        for ci in seed_cons {
+            scratch.in_cons[ci as usize] = true;
+            scratch.cons_q.push_back(ci);
         }
         for &v in seed_vars {
             self.schedule_var(v, scratch);
@@ -498,6 +513,7 @@ impl Ctx<'_> {
         loop {
             if let Some(ci) = scratch.cons_q.pop_front() {
                 scratch.in_cons[ci as usize] = false;
+                scratch.cons_steps += 1;
                 scratch.changes.clear();
                 let mut changes = std::mem::take(&mut scratch.changes);
                 let r = step_cons(&self.lowered.cons[ci as usize], doms, &mut changes);
@@ -602,7 +618,7 @@ impl Ctx<'_> {
         } else {
             Vec::new()
         };
-        if !self.fixpoint(&mut doms, scratch, seed_vars, false, &seed_clauses) {
+        if !self.fixpoint(&mut doms, scratch, seed_vars, 0..0, &seed_clauses) {
             return Ok(());
         }
         let Some(split) = splits.get(depth) else {
@@ -664,7 +680,7 @@ impl Ctx<'_> {
         } else {
             Vec::new()
         };
-        if !self.fixpoint(&mut doms, scratch, seed_vars, false, &seed_clauses) {
+        if !self.fixpoint(&mut doms, scratch, seed_vars, 0..0, &seed_clauses) {
             return true;
         }
         if depth == splits.len() {
@@ -763,6 +779,10 @@ pub struct Checker {
     admitted: u32,
     scratch: Scratch,
     nodes_used: u64,
+    /// Per constraint: named by the hints of the step being certified.
+    /// All `false` between admissions.
+    hint_mask: Vec<bool>,
+    hint_misses: u32,
 }
 
 impl Checker {
@@ -817,28 +837,49 @@ impl Checker {
             admitted: 0,
             scratch: Scratch::default(),
             nodes_used: 0,
+            hint_mask: Vec::new(),
+            hint_misses: 0,
         };
-        if !checker.base_conflict {
-            let Checker {
-                lowered,
-                base,
-                clauses,
-                clause_watch,
-                deleted,
-                scratch,
-                ..
-            } = &mut checker;
-            let ctx = Ctx {
-                lowered,
-                clauses,
-                clause_watch,
-                deleted,
-            };
-            if !ctx.fixpoint(base, scratch, &[], true, &[]) {
-                checker.base_conflict = true;
-            }
-        }
+        let all = 0..checker.lowered.cons.len() as u32;
+        checker.propagate_base(all, &[]);
         Ok(checker)
+    }
+
+    /// Splits the checker into the immutable search context and the
+    /// mutable base state and scratch. With `hinted`, the context
+    /// schedules only the contractors [`Checker::hint_mask`] names.
+    fn parts(&mut self, hinted: bool) -> (Ctx<'_>, &mut Vec<VDom>, &mut Scratch) {
+        let Checker {
+            lowered,
+            base,
+            clauses,
+            clause_watch,
+            deleted,
+            scratch,
+            hint_mask,
+            ..
+        } = self;
+        let ctx = Ctx {
+            lowered,
+            clauses,
+            clause_watch,
+            deleted,
+            allow: hinted.then_some(&hint_mask[..]),
+        };
+        (ctx, base, scratch)
+    }
+
+    /// Propagates the constraints `seed_cons` and the clauses
+    /// `seed_clauses` into the base fixpoint (a no-op once the base is
+    /// contradictory).
+    fn propagate_base(&mut self, seed_cons: Range<u32>, seed_clauses: &[u32]) {
+        if self.base_conflict {
+            return;
+        }
+        let (ctx, base, scratch) = self.parts(false);
+        if !ctx.fixpoint(base, scratch, &[], seed_cons, seed_clauses) {
+            self.base_conflict = true;
+        }
     }
 
     /// Solver variable count of the lowering (signals + auxiliaries).
@@ -853,34 +894,20 @@ impl Checker {
     /// the new constraints into the base fixpoint. Previously admitted
     /// clauses and base narrowings are retained — extension only adds
     /// constraints, so everything admitted so far remains implied.
+    ///
+    /// Only the segment's constraints are seeded: the base was already
+    /// a fixpoint of every old contractor and clause, and any of them
+    /// that a new narrowing could wake is scheduled through the watch
+    /// lists, so the queue reaches the same (unique) fixpoint as
+    /// re-seeding everything would.
     pub fn extend(&mut self, netlist: &Netlist) {
+        let cons_from = self.lowered.cons.len() as u32;
         self.lowered.extend(netlist);
         let new_len = self.lowered.init_dom.len();
         self.base
             .extend_from_slice(&self.lowered.init_dom[self.base.len()..]);
         self.clause_watch.resize(new_len, Vec::new());
-        if !self.base_conflict {
-            let Checker {
-                lowered,
-                base,
-                clauses,
-                clause_watch,
-                deleted,
-                scratch,
-                ..
-            } = self;
-            let ctx = Ctx {
-                lowered,
-                clauses,
-                clause_watch,
-                deleted,
-            };
-            // Re-seed every contractor: new constraints mention old
-            // variables, and old narrowings propagate into new ones.
-            if !ctx.fixpoint(base, scratch, &[], true, &[]) {
-                self.base_conflict = true;
-            }
-        }
+        self.propagate_base(cons_from..self.lowered.cons.len() as u32, &[]);
     }
 
     /// `true` once the base state itself is contradictory — every
@@ -984,15 +1011,21 @@ impl Checker {
         }
     }
 
-    /// Asserts the negation of every literal into `doms`. Returns
-    /// `true` when a negation is already contradicted (the lemma is
-    /// trivially implied); `touched` collects changed variables.
-    fn assert_negations(&self, doms: &mut [VDom], lits: &[PLit], touched: &mut Vec<u32>) -> bool {
+    /// A copy of the base with the negation of every literal of `lits`
+    /// asserted, and the variables that narrowed; `None` when the lemma
+    /// is trivially implied (a contradictory base, or a negation the
+    /// base already contradicts).
+    fn negated_trial(&self, lits: &[PLit]) -> Option<(Vec<VDom>, Vec<u32>)> {
+        if self.base_conflict {
+            return None;
+        }
+        let mut doms = self.base.clone();
+        let mut touched = Vec::new();
         for lit in lits {
             let var = lit.var() as usize;
             match *lit {
                 PLit::Bool { value, .. } => match doms[var].tri().to_bool() {
-                    Some(v) if v == value => return true,
+                    Some(v) if v == value => return None,
                     Some(_) => {}
                     None => {
                         doms[var] = VDom::B(Tribool::from(!value));
@@ -1018,12 +1051,12 @@ impl Checker {
                             touched.push(var as u32);
                         }
                         Some(_) => {}
-                        None => return true,
+                        None => return None,
                     }
                 }
             }
         }
-        false
+        Some((doms, touched))
     }
 
     /// Installs an admitted clause and propagates it into the base;
@@ -1035,26 +1068,7 @@ impl Checker {
         }
         self.clauses.push(lits.to_vec());
         self.deleted.push(false);
-        if !self.base_conflict {
-            let Checker {
-                lowered,
-                base,
-                clauses,
-                clause_watch,
-                deleted,
-                scratch,
-                ..
-            } = self;
-            let ctx = Ctx {
-                lowered,
-                clauses,
-                clause_watch,
-                deleted,
-            };
-            if !ctx.fixpoint(base, scratch, &[], false, &[id]) {
-                self.base_conflict = true;
-            }
-        }
+        self.propagate_base(0..0, &[id]);
         id
     }
 
@@ -1074,37 +1088,56 @@ impl Checker {
         Ok(())
     }
 
-    /// The certifying admission: [`Checker::admit`] with the step's own
-    /// splits, and when that refutation does not close
-    /// ([`CheckError::NotImplied`] or [`CheckError::Budget`]), the split
-    /// finder followed by a second strict admission with the splits it
-    /// found, which are written back into `step`. The finder is outside
-    /// the trusted base: whatever it proposes is replayed by the same
-    /// strict refutation, so a step certified here is a step a fresh
-    /// checker admits from the rewritten text.
+    /// The certifying admission. With `hints` — the ids of the lowered
+    /// constraints the producer's derivation of the lemma used — it
+    /// first refutes the lemma's negation by one fixpoint restricted to
+    /// those contractors (and every admitted clause); out-of-range and
+    /// duplicate ids are ignored. When that closes, the step is
+    /// admitted unchanged. Otherwise, and without hints: [`Checker::admit`]
+    /// with the step's own splits, and when that refutation does not
+    /// close ([`CheckError::NotImplied`] or [`CheckError::Budget`]), the
+    /// split finder followed by a second strict admission with the
+    /// splits it found, which are written back into `step`.
+    ///
+    /// Neither hints nor the finder are trusted. The contractors are
+    /// monotone, so a restricted fixpoint that closes implies that the
+    /// unrestricted root fixpoint of [`Checker::admit`] closes too:
+    /// whatever the hints, a step certified here is a step a fresh
+    /// checker admits from the (possibly rewritten) text, and the text
+    /// is the same as without hints.
     ///
     /// # Errors
     ///
     /// As [`Checker::admit`]; a failed finder reports the first
     /// admission's error.
-    pub fn certify(&mut self, step: &mut Step) -> Result<(), CheckError> {
-        self.justify(step)?;
+    pub fn certify(&mut self, step: &mut Step, hints: Option<&[u32]>) -> Result<(), CheckError> {
+        self.justify(step, hints)?;
         self.install_step(step);
         Ok(())
     }
 
-    /// [`Checker::certify`] without installing the clause or counting a
-    /// step: the check of a clause that later steps must not inherit,
-    /// such as an incremental query's `¬a₁ ∨ … ∨ ¬aₖ`.
+    /// [`Checker::certify`] without hints, and without installing the
+    /// clause or counting a step: the check of a clause that later steps
+    /// must not inherit, such as an incremental query's `¬a₁ ∨ … ∨ ¬aₖ`.
     ///
     /// # Errors
     ///
     /// As [`Checker::certify`].
     pub fn certify_uninstalled(&mut self, step: &mut Step) -> Result<(), CheckError> {
-        self.justify(step)
+        self.justify(step, None)
     }
 
-    fn justify(&mut self, step: &mut Step) -> Result<(), CheckError> {
+    fn justify(&mut self, step: &mut Step, hints: Option<&[u32]>) -> Result<(), CheckError> {
+        if let Some(hints) = hints {
+            self.validate(step)?;
+            // Deletions precede the derivation, as in `refute_step`
+            // (which re-applies them idempotently on a miss).
+            self.apply_dels(step);
+            if self.refute_hinted(&step.lits, hints) {
+                return Ok(());
+            }
+            self.hint_misses += 1;
+        }
         match self.refute_step(step) {
             Err(e @ (CheckError::NotImplied { .. } | CheckError::Budget { .. })) => {
                 step.splits = self.find_splits(&step.lits).ok_or(e)?;
@@ -1127,29 +1160,11 @@ impl Checker {
         // stick, mirroring the producer: its clauses are gone whether or
         // not the next lemma justifies.
         self.apply_dels(step);
-        if self.base_conflict {
+        let Some((trial, touched)) = self.negated_trial(&step.lits) else {
             return Ok(());
-        }
-        let mut trial = self.base.clone();
-        let mut touched = Vec::new();
-        if self.assert_negations(&mut trial, &step.lits, &mut touched) {
-            return Ok(());
-        }
-        let mut nodes = REFUTE_BUDGET;
-        let Checker {
-            lowered,
-            clauses,
-            clause_watch,
-            deleted,
-            scratch,
-            ..
-        } = &mut *self;
-        let ctx = Ctx {
-            lowered,
-            clauses,
-            clause_watch,
-            deleted,
         };
+        let mut nodes = REFUTE_BUDGET;
+        let (ctx, _, scratch) = self.parts(false);
         let r = ctx.refute(trial, scratch, &touched, true, &step.splits, 0, &mut nodes);
         self.nodes_used += REFUTE_BUDGET - nodes;
         match r {
@@ -1157,6 +1172,32 @@ impl Checker {
             Err(RefuteFail::NotImplied) => Err(CheckError::NotImplied { step: id }),
             Err(RefuteFail::Budget) => Err(CheckError::Budget { step: id }),
         }
+    }
+
+    /// The hinted refutation of [`Checker::certify`]: asserts the
+    /// negation of `lits` on a copy of the base and propagates it
+    /// through the contractors `hints` names and every admitted clause.
+    /// `true` when that reaches a conflict (one search node).
+    fn refute_hinted(&mut self, lits: &[PLit], hints: &[u32]) -> bool {
+        let Some((mut trial, touched)) = self.negated_trial(lits) else {
+            return true;
+        };
+        let ncons = self.lowered.cons.len();
+        self.hint_mask.resize(ncons, false);
+        let in_range = || hints.iter().map(|&h| h as usize).filter(|&h| h < ncons);
+        for h in in_range() {
+            self.hint_mask[h] = true;
+        }
+        // The base is a fixpoint of every contractor and clause, so only
+        // the watchers of the negated variables can move: no clause
+        // needs waking beyond those.
+        let (ctx, _, scratch) = self.parts(true);
+        let closed = !ctx.fixpoint(&mut trial, scratch, &touched, 0..0, &[]);
+        for h in in_range() {
+            self.hint_mask[h] = false;
+        }
+        self.nodes_used += 1;
+        closed
     }
 
     /// Adds a refuted step to the clause database as the next step id.
@@ -1177,42 +1218,27 @@ impl Checker {
     /// is not implied). Its answer is advisory; only a strict admission
     /// that replays it counts.
     pub fn find_splits(&mut self, lits: &[PLit]) -> Option<Vec<PSplit>> {
-        if self.base_conflict {
+        let Some((trial, touched)) = self.negated_trial(lits) else {
             return Some(Vec::new());
-        }
-        let mut trial = self.base.clone();
-        let mut touched = Vec::new();
-        if self.assert_negations(&mut trial, lits, &mut touched) {
-            return Some(Vec::new());
-        }
+        };
         let mut splits = Vec::new();
         let mut nodes = FIND_BUDGET;
-        let Checker {
-            lowered,
-            clauses,
-            clause_watch,
-            deleted,
-            scratch,
-            ..
-        } = &mut *self;
-        let ctx = Ctx {
-            lowered,
-            clauses,
-            clause_watch,
-            deleted,
-        };
+        let (ctx, _, scratch) = self.parts(false);
         let ok = ctx.grow(trial, scratch, &touched, true, &mut splits, 0, &mut nodes);
         self.nodes_used += FIND_BUDGET - nodes;
         ok.then_some(splits)
     }
 
-    /// Steps admitted and split-search nodes spent so far, over every
-    /// admission and finder call this checker made.
+    /// Steps admitted, split-search nodes and contractor applications
+    /// spent, and hint misses so far, over every admission and finder
+    /// call this checker made.
     #[must_use]
     pub fn report(&self) -> CheckReport {
         CheckReport {
             steps: self.admitted,
             search_nodes: self.nodes_used,
+            cons_steps: self.scratch.cons_steps,
+            hint_misses: self.hint_misses,
         }
     }
 

@@ -497,3 +497,119 @@ fn goal_resolution_falls_back_to_outputs() {
     assert_eq!(crate::goal_name(&n, anon), "bad");
     let _ = goal;
 }
+
+/// Free Boolean inputs `a`, `b` with `c = a ∧ b` (constraint 0) and
+/// `d = ¬c` (constraint 1), no goal. Returns the variables of `a`, `b`
+/// and `c`.
+fn and_not() -> (Netlist, [u32; 3]) {
+    let mut n = Netlist::new("and_not");
+    let a = n.input_bool("a").unwrap();
+    let b = n.input_bool("b").unwrap();
+    let c = n.and(&[a, b]).unwrap();
+    n.not(c).unwrap();
+    let var = |s: SignalId| s.index() as u32;
+    (n, [var(a), var(b), var(c)])
+}
+
+/// Hint vectors a certifier must treat as advice only: none, empty,
+/// every constraint, duplicates, out-of-range ids.
+fn hint_variants() -> Vec<Option<Vec<u32>>> {
+    vec![
+        None,
+        Some(vec![]),
+        Some((0..64).collect()),
+        Some(vec![1, 0, 1, 0, 0]),
+        Some(vec![7, u32::MAX, 2, 1_000_000]),
+    ]
+}
+
+#[test]
+fn hints_never_admit_a_lemma_that_does_not_follow() {
+    // `¬a ∨ c` fails at a = 1, b = 0, c = 0, whatever the hints say.
+    let (n, [a, _, c]) = and_not();
+    for hints in hint_variants() {
+        let mut checker = Checker::new_free(&n);
+        let mut step = Step {
+            lits: vec![lit_b(a, false), lit_b(c, true)],
+            ..Step::default()
+        };
+        assert_eq!(
+            checker.certify(&mut step, hints.as_deref()),
+            Err(CheckError::NotImplied { step: 0 }),
+            "hints {hints:?}"
+        );
+        assert_eq!(checker.admitted(), 0, "hints {hints:?}");
+        let misses = u32::from(hints.is_some());
+        assert_eq!(checker.report().hint_misses, misses, "hints {hints:?}");
+    }
+    // A lemma that only a wrong split tree "proves" is rejected too.
+    let (n, _, x_var) = needs_split();
+    for hints in hint_variants() {
+        let mut checker = Checker::new_free(&n);
+        let mut step = Step {
+            lits: vec![],
+            splits: vec![PSplit::Word { var: x_var, at: 2 }],
+            ..Step::default()
+        };
+        assert!(
+            checker.certify(&mut step, hints.as_deref()).is_err(),
+            "the empty clause over a satisfiable goal-free netlist, hints {hints:?}"
+        );
+    }
+}
+
+#[test]
+fn wrong_hints_fall_back_to_the_unhinted_admission() {
+    // `¬a ∨ ¬b ∨ c` is one step of the AND contractor (constraint 0).
+    let (n, [a, b, c]) = and_not();
+    let lemma = || Step {
+        lits: vec![lit_b(a, false), lit_b(b, false), lit_b(c, true)],
+        ..Step::default()
+    };
+    for (hints, misses) in [(vec![0], 0), (vec![1], 1), (vec![], 1), (vec![9], 1)] {
+        let mut checker = Checker::new_free(&n);
+        let mut step = lemma();
+        assert_eq!(
+            checker.certify(&mut step, Some(&hints)),
+            Ok(()),
+            "{hints:?}"
+        );
+        assert_eq!(step, lemma(), "{hints:?}: the text is unchanged");
+        assert_eq!(checker.report().hint_misses, misses, "{hints:?}");
+    }
+
+    // The empty clause of `2x = 5` needs a split: no hint closes it,
+    // and the fallback writes back the splits it finds without hints.
+    let (n, goal, _) = needs_split();
+    let mut unhinted = Step::default();
+    let mut checker = Checker::new(&n, goal).unwrap();
+    assert_eq!(checker.certify(&mut unhinted, None), Ok(()));
+    assert!(!unhinted.splits.is_empty());
+    for hints in hint_variants().into_iter().flatten() {
+        let mut checker = Checker::new(&n, goal).unwrap();
+        let mut step = Step::default();
+        assert_eq!(
+            checker.certify(&mut step, Some(&hints)),
+            Ok(()),
+            "{hints:?}"
+        );
+        assert_eq!(step, unhinted, "{hints:?}: same written-back splits");
+        assert_eq!(checker.report().hint_misses, 1, "{hints:?}");
+    }
+}
+
+#[test]
+fn checker_counts_its_contractor_steps() {
+    let (n, [a, b, c]) = and_not();
+    let mut checker = Checker::new_free(&n);
+    let built = checker.report().cons_steps;
+    assert_eq!(built, 2, "the base fixpoint steps each contractor once");
+    let mut step = Step {
+        lits: vec![lit_b(a, false), lit_b(b, false), lit_b(c, true)],
+        ..Step::default()
+    };
+    checker.certify(&mut step, Some(&[0])).unwrap();
+    // The hinted refutation steps the AND contractor alone, and the
+    // installed clause `¬a ∨ ¬b ∨ c` narrows nothing in the base.
+    assert_eq!(checker.report().cons_steps, built + 1);
+}

@@ -18,13 +18,15 @@
 //!   (`is_quiescent`) after every query.
 //!
 //! Then the session certifier itself: an injected fault never reaches
-//! a checked proof (and a [`SupervisedSession`] degrades past it), and
-//! over a BMC sweep the certifier admits each logged step exactly once.
+//! a checked proof (and a [`SupervisedSession`] degrades past it), over
+//! a BMC sweep the certifier admits each logged step exactly once, and
+//! every conflict lemma closes on its derivation hints. Last, a
+//! session's per-query propagation cap charges each query alone.
 
 use proptest::prelude::*;
 
 use rtlsat::hdpll::{
-    Assumption, Certified, ClauseDbConfig, FaultPlan, HdpllResult, LearnConfig, Session,
+    Assumption, Certified, ClauseDbConfig, FaultPlan, HdpllResult, LearnConfig, Limits, Session,
     SessionCert, Solver, SolverConfig, SupervisedSession,
 };
 use rtlsat::ir::{eval, Netlist, SignalId};
@@ -489,4 +491,75 @@ fn certifier_admits_each_logged_step_once() {
     let proof = solver.take_proof().unwrap();
     assert!(proof.is_complete());
     assert_eq!(report.steps as usize, proof.len());
+}
+
+/// A b13 BMC sweep of `prop` over `depths` depths on one session, one
+/// extend plus one query per depth.
+fn b13_sweep(session_config: SolverConfig, prop: &str, depths: usize) -> (Session, Vec<Certified>) {
+    let circuit = rtlsat::itc99::b13();
+    let mut unroller = circuit.unroller();
+    let mut base = unroller.base_netlist();
+    unroller.push_frame(&mut base).unwrap();
+    let mut session = Session::new(&base, session_config);
+    let mut answers = Vec::new();
+    for depth in 0..depths {
+        if depth > 0 {
+            session.extend(|n| unroller.push_frame(n).unwrap());
+        }
+        let bad = unroller.bad(prop, depth).unwrap();
+        answers.push(session.solve(&[Assumption::yes(bad)]));
+    }
+    (session, answers)
+}
+
+#[test]
+fn conflict_lemmas_close_on_their_hints() {
+    // Conflict analysis names the engine constraints it expanded, and
+    // the certifier reads them as ids of its own lowering: the two
+    // number constraints alike (`compile.rs`, `lower.rs`). Only speed
+    // depends on that, so this pins it: every conflict lemma of the b13
+    // p2 sweep and of the mux query stream closes on its hints alone,
+    // in a few contractor steps per admitted step.
+    let config = SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
+    let (session, answers) = b13_sweep(config, "p2", 12);
+    assert!(answers.iter().all(|c| c.cert == SessionCert::ProofChecked));
+    let (netlist, stream) = mux_stream();
+    let mut mux = Session::new(&netlist, mux_config());
+    for asm in &stream {
+        let c = mux.solve(asm);
+        assert_ne!(c.cert, SessionCert::Uncertified, "{asm:?}");
+    }
+    for (name, session) in [("b13 p2", &session), ("mux stream", &mux)] {
+        let report = session.certify_report().expect("certifier live");
+        let learned = session.stats().engine.learned;
+        assert!(report.steps > 0 && learned > 0, "{name}: nothing to certify");
+        assert_eq!(report.hint_misses, 0, "{name}: {report:?}");
+    }
+    // Unhinted, each admission propagates over much of the netlist
+    // (the mux netlist is smaller than a lemma's derivation).
+    let report = session.certify_report().unwrap();
+    let signals = session.proof_netlist().len() as u64;
+    assert!(
+        report.cons_steps < u64::from(report.steps) * signals / 4,
+        "{report:?} over {signals} signals"
+    );
+}
+
+#[test]
+fn session_propagation_cap_charges_each_query_alone() {
+    // A 2 000-step cap is ample for every query of this sweep (each
+    // takes a few hundred propagations), but the whole sweep spends
+    // more: the cap must not count earlier queries or extensions.
+    let cap = 2_000;
+    let config = SolverConfig::hdpll().with_proof(true).with_limits(Limits {
+        max_propagations: Some(cap),
+        ..Limits::default()
+    });
+    let (session, answers) = b13_sweep(config, "p1", 40);
+    for (depth, c) in answers.iter().enumerate() {
+        assert_eq!(c.abort, None, "p1@{depth}");
+        assert!(c.result.is_unsat(), "p1@{depth}");
+        assert_eq!(c.cert, SessionCert::ProofChecked, "p1@{depth}");
+    }
+    assert!(session.stats().engine.propagations > 2 * cap);
 }

@@ -5,8 +5,9 @@
 //! proof object, of its text, or of the solver itself via a
 //! [`FaultPlan`] — must make certification fail rather than silently
 //! pass. Randomly mutated proof text and `.preproc` bundle text is
-//! untrusted input: parsing and checking it never panics, and no
-//! mutation of a real proof certifies a satisfiable netlist.
+//! untrusted input: parsing and checking it never panics, no mutation
+//! of a real proof certifies a satisfiable netlist, and derivation
+//! hints never change what the certifying admission decides.
 
 use std::sync::OnceLock;
 
@@ -19,7 +20,7 @@ use rtlsat::ir::simplify::{
     bundle_parse, bundle_to_text, bundle_to_text_full, bundle_validate, simplify, simplify_full,
 };
 use rtlsat::ir::{Netlist, SignalId};
-use rtlsat::proof::{format, Checker, Proof, Step};
+use rtlsat::proof::{format, CheckError, Checker, Proof, Step};
 
 mod common;
 use common::{random_netlist, Rng};
@@ -399,6 +400,65 @@ fn corpus() -> &'static Corpus {
     })
 }
 
+/// A random hint vector for one step: none, empty, every constraint of
+/// the small corpus netlists, or a few ids with duplicates and
+/// out-of-range values.
+fn random_hints(rng: &mut Rng) -> Option<Vec<u32>> {
+    match rng.below(4) {
+        0 => None,
+        1 => Some(Vec::new()),
+        2 => Some((0..512).collect()),
+        _ => Some(
+            (0..1 + rng.below(6))
+                .map(|_| match rng.below(4) {
+                    0 => u32::MAX,
+                    _ => rng.below(64) as u32,
+                })
+                .collect(),
+        ),
+    }
+}
+
+/// Certifies `proof`'s steps in order on `checker` until the first
+/// rejection, taking each step's hints from `hints`; returns the
+/// outcomes and the steps as written back.
+fn certify_steps(
+    mut checker: Checker,
+    proof: &Proof,
+    mut hints: impl FnMut() -> Option<Vec<u32>>,
+) -> (Vec<Result<(), CheckError>>, Vec<Step>) {
+    let mut steps = proof.steps.clone();
+    let mut outcomes = Vec::new();
+    for step in &mut steps {
+        let outcome = checker.certify(step, hints().as_deref());
+        let rejected = outcome.is_err();
+        outcomes.push(outcome);
+        if rejected {
+            break;
+        }
+    }
+    (outcomes, steps)
+}
+
+/// Hints are advice: certifying `proof` with random hints admits and
+/// rejects exactly the steps certifying it without hints does, and
+/// writes back the same splits. A goal-free checker stands in when
+/// `goal` is `None`.
+fn assert_hints_are_advice(
+    netlist: &Netlist,
+    goal: Option<SignalId>,
+    proof: &Proof,
+    rng: &mut Rng,
+) {
+    let checker = || match goal {
+        Some(goal) => Checker::new(netlist, goal).expect("Boolean goal"),
+        None => Checker::new_free(netlist),
+    };
+    let plain = certify_steps(checker(), proof, || None);
+    let hinted = certify_steps(checker(), proof, || random_hints(rng));
+    assert_eq!(plain, hinted, "{}", format::print(proof));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
@@ -420,6 +480,7 @@ proptest! {
                 prop_assert!(Checker::check(sib, &p).is_err(), "seed {seed}:\n{text}");
             }
             let _ = Checker::check(&c.parity.0, &p);
+            assert_hints_are_advice(&c.parity.0, Some(c.parity.1), &p, &mut rng);
         }
         for (netlist, goal, text) in &c.others {
             if let Ok(p) = format::parse(&mutate(text, &mut rng)) {
@@ -427,6 +488,7 @@ proptest! {
                 if let Some(goal) = goal {
                     let _ = Checker::check_goal(netlist, *goal, &p);
                 }
+                assert_hints_are_advice(netlist, *goal, &p, &mut rng);
             }
         }
     }
