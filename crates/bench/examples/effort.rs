@@ -2,27 +2,109 @@
 //! per workload, wall time plus the engine counters, no sampling.
 //! Handy when tuning clause-DB / restart heuristics without paying for
 //! a full `hotpath` run.
+//!
+//! Three more sections follow: the `hotpath` preprocessing twins of the
+//! ITC'99 rows (raw and simplified netlist, profiled: solve time and
+//! the FM final checks' share of it); the end-to-end benchmark's five
+//! b13 BMC session sweeps (default session rung, preprocessing on;
+//! counters summed per sweep); and `mux_search` 6–12 under each engine
+//! with proof logging, printing the verdict, the conflict count, an
+//! FNV-1a digest of the proof text and whether a fresh checker accepts
+//! it. Diff two builds' output to see where their searches part.
+//!
+//!     cargo run --release -p rtl-bench --example effort
+
+use rtl_bench::hotpath::{b13_sweep, fnv1a, B13_SWEEPS};
+use rtl_hdpll::{EngineStats, LearnConfig, ObsConfig, ObsHandle, Solver, SolverConfig};
+use rtl_proof::{format, Checker};
+
+fn counters(e: &EngineStats) -> String {
+    format!(
+        "conflicts={} learned={} deleted={} reductions={} restarts={}+{} decisions={} props={} narrowings={} clause_props={} fm={}/{}",
+        e.conflicts,
+        e.learned,
+        e.lemmas_deleted,
+        e.db_reductions,
+        e.restarts,
+        e.restarts_scheduled,
+        e.decisions,
+        e.propagations,
+        e.narrowings,
+        e.clause_props,
+        e.fm_calls,
+        e.fm_subcalls
+    )
+}
 
 fn main() {
     for w in rtl_bench::hotpath::all_workloads() {
         let t = std::time::Instant::now();
         let stats = w.run();
-        let e = stats.engine;
         println!(
-            "{}: {:.1}ms conflicts={} learned={} deleted={} reductions={} restarts={}+{} decisions={} props={} clause_props={} fm={}/{}",
+            "{}: {:.1}ms {}",
             w.name,
             t.elapsed().as_secs_f64() * 1e3,
-            e.conflicts,
-            e.learned,
-            e.lemmas_deleted,
-            e.db_reductions,
-            e.restarts,
-            e.restarts_scheduled,
-            e.decisions,
-            e.propagations,
-            e.clause_props,
-            e.fm_calls,
-            e.fm_subcalls
+            counters(&stats.engine)
         );
+    }
+
+    for w in rtl_bench::hotpath::itc99_mixed() {
+        let (pre, pre_goal) = w.preprocessed();
+        for (twin, netlist, goal) in [("raw", &w.netlist, w.goal), ("preproc", &pre.netlist, pre_goal)] {
+            let mut solver = Solver::new(netlist, w.config);
+            w.check(&solver.solve(goal)); // warm-up
+            let obs = ObsHandle::armed(ObsConfig::profiled());
+            solver.set_obs(obs.clone());
+            let t = std::time::Instant::now();
+            w.check(&solver.solve(goal));
+            let ms = t.elapsed().as_secs_f64() * 1e3;
+            let rows = obs.profile_snapshot().map(|p| p.rows).unwrap_or_default();
+            let (fm_us, fm_checks) = rows
+                .iter()
+                .filter(|r| r.path.ends_with("final_check"))
+                .fold((0, 0), |(us, n), r| (us + r.total_us, n + r.calls));
+            println!(
+                "{} {twin}: {ms:.2}ms final_check={:.2}ms/{fm_checks} signals={} {}",
+                w.name,
+                fm_us as f64 / 1e3,
+                netlist.len(),
+                counters(&solver.stats().engine)
+            );
+        }
+    }
+
+    let rung = SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
+    for (prop, depths) in B13_SWEEPS {
+        let t = std::time::Instant::now();
+        let (ladder, _) = b13_sweep(prop, depths, vec![("hdpll-sp".to_string(), rung)]);
+        let engine = ladder.stats().map(|s| s.engine).unwrap_or_default();
+        println!(
+            "b13 {prop} x{depths}: {:.1}ms {}",
+            t.elapsed().as_secs_f64() * 1e3,
+            counters(&engine)
+        );
+    }
+
+    for stages in 6..=12 {
+        let w = rtl_bench::hotpath::mux_search(stages);
+        for (engine, config) in [
+            ("hdpll", SolverConfig::hdpll()),
+            ("hdpll-s", SolverConfig::structural()),
+            (
+                "hdpll-sp",
+                SolverConfig::structural_with_learning(LearnConfig::default()),
+            ),
+        ] {
+            let mut solver = Solver::new(&w.netlist, config.with_proof(true));
+            let verdict = if solver.solve(w.goal).is_unsat() { "UNSAT" } else { "SAT" };
+            let (digest, checked) = solver.take_proof().map_or((0, false), |p| {
+                let text = format::print(&p);
+                (fnv1a(text.as_bytes()), Checker::check_goal(&w.netlist, w.goal, &p).is_ok())
+            });
+            println!(
+                "mux_search({stages}) {engine}: {verdict} conflicts={} proof={digest:016x} checked={checked}",
+                solver.stats().engine.conflicts
+            );
+        }
     }
 }

@@ -19,7 +19,10 @@
 //!   under the structural decision strategy, mixing word and Boolean
 //!   propagation the way the paper's experiments do.
 
-use rtl_hdpll::{Assumption, HdpllResult, LearnConfig, Session, Solver, SolverConfig, SolverStats};
+use rtl_hdpll::{
+    Assumption, HdpllResult, LearnConfig, Session, SessionCert, Solver, SolverConfig, SolverStats,
+    SupervisedSession,
+};
 use rtl_ir::seq::SeqCircuit;
 use rtl_ir::{CmpOp, Netlist, SignalId};
 use rtl_itc99::cases::{BmcCase, Circuit, Expected};
@@ -341,6 +344,52 @@ pub fn bmc_session_sweep(ckt: &SeqCircuit, max_depth: usize) -> usize {
         assert!(certified.result.is_unsat(), "budget exhausted");
     }
     panic!("no counterexample through depth {max_depth}");
+}
+
+/// The end-to-end benchmark's BMC sweeps over ITC'99 b13: each property
+/// with its number of depths (every depth is UNSAT).
+pub const B13_SWEEPS: [(&str, usize); 5] =
+    [("p1", 40), ("p2", 40), ("p3", 40), ("p5", 40), ("p8", 15)];
+
+/// Runs one b13 sweep as the end-to-end benchmark does: a
+/// [`SupervisedSession`] over `rungs` with preprocessing on, then one
+/// `extend` and one assumption query `bad@depth` per depth. Returns the
+/// ladder and the printed proof of every answer.
+///
+/// # Panics
+///
+/// Panics if `prop` is not a b13 property or an answer is not a checked
+/// UNSAT proof.
+#[must_use]
+pub fn b13_sweep(
+    prop: &str,
+    depths: usize,
+    rungs: Vec<(String, SolverConfig)>,
+) -> (SupervisedSession, Vec<String>) {
+    let mut unroller = rtl_itc99::b13().unroller();
+    let mut base = unroller.base_netlist();
+    unroller.push_frame(&mut base).expect("b13 unrolls");
+    let mut ladder = SupervisedSession::with_rungs(&base, rungs).with_preproc(true);
+    let mut proofs = Vec::with_capacity(depths);
+    for depth in 0..depths {
+        if depth > 0 {
+            ladder.extend(|n| unroller.push_frame(n).expect("b13 unrolls"));
+        }
+        let bad = unroller.bad(prop, depth).expect("property exists");
+        let q = ladder.solve(&[Assumption::yes(bad)]);
+        assert_eq!(q.certified.cert, SessionCert::ProofChecked, "b13 {prop}@{depth}");
+        let proof = q.certified.proof.as_ref().expect("checked implies proof");
+        proofs.push(rtl_proof::format::print(proof));
+    }
+    (ladder, proofs)
+}
+
+/// FNV-1a (64-bit), the digest certificate comparisons use.
+#[must_use]
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
 }
 
 /// The fresh-per-depth twin of [`bmc_session_sweep`]: a monolithic

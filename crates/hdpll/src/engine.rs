@@ -57,6 +57,13 @@ pub(crate) enum Propagation {
     Aborted(AbortReason),
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Test-only switch: while set, every [`Propagation::Fixpoint`] this
+    /// thread's engines return is checked by [`Engine::assert_fixpoint`].
+    pub(crate) static CHECK_FIXPOINTS: std::cell::Cell<bool> = const { std::cell::Cell::new(false) };
+}
+
 /// How many propagation steps run between deadline/cancellation polls.
 ///
 /// `Instant::now()` and the atomic load are too expensive to pay on every
@@ -159,7 +166,9 @@ pub struct EngineStats {
     /// J-conflicts found by the structural decision strategy.
     pub j_conflicts: u64,
     /// Clause propagation steps executed (the constraint counterpart is
-    /// [`EngineStats::propagations`]).
+    /// [`EngineStats::propagations`]): the queued clause visits, i.e.
+    /// clauses a narrowing left with a false watch, one-literal clauses
+    /// not yet true, and each new clause once.
     pub clause_props: u64,
     /// Constraint-implied domain narrowings applied to the trail.
     pub narrowings: u64,
@@ -216,7 +225,9 @@ pub(crate) struct Engine {
     in_cqueue: Vec<bool>,
     /// Hybrid clause database (static-learned + conflict-learned).
     pub clauses: Vec<HClause>,
-    /// `var → clause ids containing it`.
+    /// `var → ids of the live clauses watching one of its literals`
+    /// ([`HClause::watch`]); a clause watching two literals of one
+    /// variable is listed once.
     clause_watch: Vec<Vec<u32>>,
     /// Clause worklist.
     clqueue: VecDeque<u32>,
@@ -445,7 +456,9 @@ impl Engine {
         &self.doms[v.index()]
     }
 
-    /// Schedules every constraint for (re)propagation — used once at start.
+    /// Schedules every constraint for (re)propagation: at the start of a
+    /// one-shot solve, when a session is built, and before a session
+    /// query whose level 0 may be short of its fixpoint.
     pub fn schedule_all(&mut self) {
         for ci in 0..self.compiled.cons.len() as u32 {
             if !self.in_cqueue[ci as usize] {
@@ -699,11 +712,8 @@ impl Engine {
                         self.cqueue.push_back(ci);
                     }
                 }
-                for &cl in &self.clause_watch[var.index()] {
-                    if !self.in_clqueue[cl as usize] {
-                        self.in_clqueue[cl as usize] = true;
-                        self.clqueue.push_back(cl);
-                    }
+                if !self.clause_watch[var.index()].is_empty() {
+                    self.visit_watchers(var);
                 }
             }
             self.stats.max_cqueue = self.stats.max_cqueue.max(self.cqueue.len() as u64);
@@ -720,6 +730,10 @@ impl Engine {
             // 3. one constraint step
             let Some(ci) = self.cqueue.pop_front() else {
                 if self.qhead == self.trail.len() {
+                    #[cfg(test)]
+                    if CHECK_FIXPOINTS.with(std::cell::Cell::get) {
+                        self.assert_fixpoint();
+                    }
                     return Propagation::Fixpoint;
                 }
                 continue;
@@ -808,6 +822,87 @@ impl Engine {
         }
     }
 
+    /// Visits the clauses watching `var` after it narrowed (DESIGN.md
+    /// §2.6): each moves a watch off a literal that became false, and a
+    /// clause left with a false watch, or a one-literal clause not yet
+    /// true, is queued for [`Engine::propagate_clause`]. Clauses whose
+    /// watches moved to other variables leave `var`'s list, which keeps
+    /// its order otherwise.
+    fn visit_watchers(&mut self, var: VarId) {
+        let mut list = std::mem::take(&mut self.clause_watch[var.index()]);
+        let mut kept = 0;
+        for i in 0..list.len() {
+            let cl = list[i];
+            if self.visit_clause(cl, var) {
+                list[kept] = cl;
+                kept += 1;
+            }
+        }
+        list.truncate(kept);
+        debug_assert!(self.clause_watch[var.index()].is_empty());
+        self.clause_watch[var.index()] = list;
+    }
+
+    /// One watcher visit of clause `cl` for a narrowing of `var`, one of
+    /// its watched variables; returns whether `cl` still watches `var`.
+    ///
+    /// A clause with a true watch is skipped. Each false watch on `var`
+    /// moves to a non-false literal outside the pair, if there is one.
+    /// The clause is queued when a watch stays false afterwards — it is
+    /// unit or falsified, or a unit whose literal could not be applied
+    /// (a negative word literal strictly inside the domain) and that the
+    /// narrowing may have made assertable — and, for the same reason,
+    /// when it has a single literal. Literal values only move from
+    /// unknown to true or false as domains narrow, and back only on
+    /// backtracking, so watches need no repair when the trail unwinds.
+    fn visit_clause(&mut self, cl: u32, var: VarId) -> bool {
+        let Engine {
+            clauses,
+            doms,
+            clause_watch,
+            clqueue,
+            in_clqueue,
+            ..
+        } = self;
+        let clause = &mut clauses[cl as usize];
+        let lits = &clause.lits;
+        let value = |k: u32| {
+            let lit = &lits[k as usize];
+            lit.eval(&doms[lit.var().index()])
+        };
+        let old = clause.watch;
+        if value(old[0]) == Tribool::True || value(old[1]) == Tribool::True {
+            return true;
+        }
+        let mut watch = old;
+        for slot in 0..2 {
+            if lits[watch[slot] as usize].var() != var || value(watch[slot]) != Tribool::False {
+                continue;
+            }
+            if let Some(k) = (0..lits.len() as u32)
+                .find(|&k| k != watch[0] && k != watch[1] && value(k) != Tribool::False)
+            {
+                watch[slot] = k;
+            }
+        }
+        // Only watches on `var` moved, so `var` is the only variable the
+        // clause can stop watching; hook it on each newly watched one.
+        let old_vars = old.map(|k| lits[k as usize].var());
+        for v in watched_vars(lits, watch).filter(|v| !old_vars.contains(v)) {
+            clause_watch[v.index()].push(cl);
+        }
+        let values = watch.map(value);
+        let queue = !values.contains(&Tribool::True)
+            && (values.contains(&Tribool::False) || watch[0] == watch[1]);
+        let still_watched = watched_vars(lits, watch).any(|v| v == var);
+        clause.watch = watch;
+        if queue && !in_clqueue[cl as usize] {
+            in_clqueue[cl as usize] = true;
+            clqueue.push_back(cl);
+        }
+        still_watched
+    }
+
     fn drain_queues(&mut self) {
         while let Some(ci) = self.cqueue.pop_front() {
             self.in_cqueue[ci as usize] = false;
@@ -874,7 +969,8 @@ impl Engine {
         }
     }
 
-    /// Adds a hybrid clause to the database; schedules it for propagation.
+    /// Adds a hybrid clause to the database, watches two of its literals
+    /// ([`Engine::initial_watches`]) and schedules it for propagation.
     pub fn add_clause(&mut self, mut lits: Vec<HLit>, learned: bool) -> u32 {
         if learned && self.faults.corrupt_learned_clause == Some(self.stats.learned) {
             // Injected fault: flip the polarity of the clause's first
@@ -891,8 +987,9 @@ impl Engine {
             }
         }
         let id = self.clauses.len() as u32;
-        for lit in &lits {
-            self.clause_watch[lit.var().index()].push(id);
+        let watch = self.initial_watches(&lits);
+        for v in watched_vars(&lits, watch) {
+            self.clause_watch[v.index()].push(id);
         }
         self.clause_lits += lits.len();
         self.clauses.push(HClause {
@@ -901,6 +998,7 @@ impl Engine {
             lbd: 0,
             activity: 0.0,
             deleted: false,
+            watch,
         });
         self.in_clqueue.push(false);
         if !self.in_clqueue[id as usize] {
@@ -911,6 +1009,47 @@ impl Engine {
             self.stats.learned += 1;
         }
         id
+    }
+
+    /// The positions a new clause watches: non-false literals first, then
+    /// false ones by the trail entry that falsified them, latest first;
+    /// ties keep position order. A conflict lemma thus watches its UIP
+    /// literal and the literal of its backtrack level, and a false watch
+    /// is never older than a literal it could leave unwatched. Both
+    /// positions are `0` for a clause of at most one literal.
+    fn initial_watches(&self, lits: &[HLit]) -> [u32; 2] {
+        let rank = |lit: &HLit| {
+            if lit.eval(&self.doms[lit.var().index()]) != Tribool::False {
+                u64::MAX
+            } else {
+                self.falsifying_entry(lit).map_or(0, |i| u64::from(i) + 1)
+            }
+        };
+        let mut best: [Option<(u64, u32)>; 2] = [None, None];
+        for (k, lit) in lits.iter().enumerate() {
+            let r = rank(lit);
+            if best[0].is_none_or(|(top, _)| r > top) {
+                best = [Some((r, k as u32)), best[0]];
+            } else if best[1].is_none_or(|(second, _)| r > second) {
+                best[1] = Some((r, k as u32));
+            }
+        }
+        let first = best[0].map_or(0, |(_, k)| k);
+        [first, best[1].map_or(first, |(_, k)| k)]
+    }
+
+    /// The trail index of the entry that made the false literal `lit`
+    /// false — the earliest entry of its variable whose domain falsifies
+    /// it — or `None` when the initial domain already did.
+    fn falsifying_entry(&self, lit: &HLit) -> Option<u32> {
+        let mut at = self.latest[lit.var().index()]?;
+        loop {
+            let e = &self.trail[at as usize];
+            if lit.eval(&e.old) != Tribool::False {
+                return Some(at);
+            }
+            at = e.prev_latest?;
+        }
     }
 
     /// Undoes all entries above `level`.
@@ -1106,16 +1245,16 @@ impl Engine {
         cands
     }
 
-    /// Tombstones one clause: drops its literals, unhooks it from every
-    /// watch list, and marks it deleted. The id (and thus `clauses`
+    /// Tombstones one clause: drops its literals, unhooks it from its
+    /// two watch lists, and marks it deleted. The id (and thus `clauses`
     /// indexing) stays valid — reasons and proof steps cite ids.
     fn delete_clause(&mut self, cid: u32) {
         let lits = std::mem::take(&mut self.clauses[cid as usize].lits);
         self.clause_lits -= lits.len();
-        for lit in &lits {
-            let watch = &mut self.clause_watch[lit.var().index()];
-            if let Some(pos) = watch.iter().position(|&c| c == cid) {
-                watch.swap_remove(pos);
+        for v in watched_vars(&lits, self.clauses[cid as usize].watch) {
+            let list = &mut self.clause_watch[v.index()];
+            if let Some(pos) = list.iter().position(|&c| c == cid) {
+                list.swap_remove(pos);
             }
         }
         self.clauses[cid as usize].deleted = true;
@@ -1376,6 +1515,78 @@ impl Engine {
         self.apply(var, new, reason, span);
     }
 
+    /// The clause ids on `var`'s watch list.
+    pub(crate) fn watch_list(&self, var: VarId) -> &[u32] {
+        &self.clause_watch[var.index()]
+    }
+
+    /// Asserts that deduction is at its fixpoint and the watch lists are
+    /// consistent: no live clause is falsified or unit on a literal that
+    /// would narrow its variable (a negative word literal strictly inside
+    /// the domain cannot), no contractor narrows a domain or conflicts,
+    /// and every live clause is listed exactly under its watched
+    /// variables, once each.
+    pub(crate) fn assert_fixpoint(&self) {
+        let mut listed: Vec<Vec<VarId>> = vec![Vec::new(); self.clauses.len()];
+        for (v, list) in self.clause_watch.iter().enumerate() {
+            for &cl in list {
+                listed[cl as usize].push(VarId(v as u32));
+            }
+        }
+        for (cl, clause) in self.clauses.iter().enumerate() {
+            if clause.deleted {
+                assert!(
+                    listed[cl].is_empty(),
+                    "tombstoned clause {cl} still watched"
+                );
+                continue;
+            }
+            let mut watched: Vec<VarId> = watched_vars(&clause.lits, clause.watch).collect();
+            watched.sort_unstable();
+            listed[cl].sort_unstable();
+            assert_eq!(
+                listed[cl], watched,
+                "clause {cl} listed under the wrong variables"
+            );
+            let value = |l: &HLit| l.eval(&self.doms[l.var().index()]);
+            if clause.lits.iter().any(|l| value(l) == Tribool::True) {
+                continue;
+            }
+            let open: Vec<&HLit> = clause
+                .lits
+                .iter()
+                .filter(|l| value(l) == Tribool::Unknown)
+                .collect();
+            assert!(
+                !open.is_empty(),
+                "clause {cl} falsified at a fixpoint: {:?}",
+                clause.lits
+            );
+            if let [lit] = open[..] {
+                let stuck = match *lit {
+                    HLit::Word {
+                        var,
+                        iv,
+                        positive: false,
+                    } => {
+                        let cur = self.doms[var.index()].iv();
+                        subtract_interval(cur, iv) == Some(cur)
+                    }
+                    HLit::Word { .. } | HLit::Bool { .. } => false,
+                };
+                assert!(stuck, "clause {cl} is unit on {lit} at a fixpoint");
+            }
+        }
+        let mut changes = Vec::new();
+        for (ci, c) in self.compiled.cons.iter().enumerate() {
+            let result = step(&c.kind, &self.doms, &mut changes);
+            assert!(
+                result == PropResult::Narrowed && changes.is_empty(),
+                "constraint {ci} not at its fixpoint: {result:?} {changes:?}"
+            );
+        }
+    }
+
     /// The quadratic analysis [`Engine::analyze_mode`] replaced, kept as
     /// its test oracle: per resolution step it rescans every mark for the
     /// maximum level and the marks at it, and it dedups the lemma per
@@ -1534,6 +1745,15 @@ impl Falsified {
         hints.dedup();
         Some(hints)
     }
+}
+
+/// The distinct variables of a clause's watched literals: the watch
+/// lists it belongs on (none for an empty clause).
+fn watched_vars(lits: &[HLit], watch: [u32; 2]) -> impl Iterator<Item = VarId> {
+    let [first, second] = watch.map(|k| lits.get(k as usize).map(HLit::var));
+    first
+        .into_iter()
+        .chain(second.filter(|&v| Some(v) != first))
 }
 
 /// The Luby restart sequence (1, 1, 2, 1, 1, 2, 4, …), 0-indexed.

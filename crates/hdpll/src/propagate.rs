@@ -21,7 +21,40 @@ fn sat_i64(v: i128) -> i64 {
     v.clamp(i64::MIN as i128, i64::MAX as i128) as i64
 }
 
+/// `⌊a / b⌋` for a coefficient `b ≠ 0` of an `i64` linear term. The
+/// linear coefficients the compiler emits for modular wrap, extract,
+/// concat and shifts are all `±2^k`, which take an exact arithmetic
+/// shift instead of a 128-bit division.
 fn div_floor(a: i128, b: i128) -> i128 {
+    match pow2_shift(b) {
+        Some(k) if b > 0 => a >> k,
+        Some(k) => -ceil_shift(a, k),
+        None => div_floor_i128(a, b),
+    }
+}
+
+/// `⌈a / b⌉`; see [`div_floor`].
+fn div_ceil(a: i128, b: i128) -> i128 {
+    match pow2_shift(b) {
+        Some(k) if b > 0 => ceil_shift(a, k),
+        Some(k) => -(a >> k),
+        None => div_ceil_i128(a, b),
+    }
+}
+
+/// `k` when `|b| = 2^k` (`b` is an `i64`, so `k ≤ 63`).
+fn pow2_shift(b: i128) -> Option<u32> {
+    let m = b.unsigned_abs();
+    m.is_power_of_two().then(|| m.trailing_zeros())
+}
+
+/// `⌈a / 2^k⌉` for `k ≤ 63`: the floor shift, plus one when bits were
+/// shifted out.
+fn ceil_shift(a: i128, k: u32) -> i128 {
+    (a >> k) + i128::from(a & ((1i128 << k) - 1) != 0)
+}
+
+fn div_floor_i128(a: i128, b: i128) -> i128 {
     let q = a / b;
     if a % b != 0 && (a < 0) != (b < 0) {
         q - 1
@@ -30,7 +63,7 @@ fn div_floor(a: i128, b: i128) -> i128 {
     }
 }
 
-fn div_ceil(a: i128, b: i128) -> i128 {
+fn div_ceil_i128(a: i128, b: i128) -> i128 {
     let q = a / b;
     if a % b != 0 && (a < 0) == (b < 0) {
         q + 1
@@ -269,6 +302,8 @@ fn prop_lin(
 
 #[cfg(test)]
 mod unit {
+    use proptest::prelude::*;
+
     use super::*;
 
     fn b(t: Tribool) -> Dom {
@@ -383,6 +418,140 @@ mod unit {
                 assert!(ch.contains(&(v(0), w(3, 6))), "{ch:?}");
             }
             None => panic!(),
+        }
+    }
+
+    /// Values that straddle every shift boundary: small ones, powers of
+    /// two and their neighbours, and the extremes a sum of `i64` terms
+    /// reaches (about `±2^125`).
+    fn edge_values() -> Vec<i128> {
+        let mut vals = vec![0, 1, 2, 3, 5, 7, 1000, 12345, i128::from(i64::MAX)];
+        for k in [1, 31, 62, 63, 64, 100, 124, 125] {
+            vals.extend([(1i128 << k) - 1, 1i128 << k, (1i128 << k) + 1]);
+        }
+        vals.push(3 << 123);
+        let negated: Vec<i128> = vals.iter().map(|v| -v).collect();
+        vals.extend(negated);
+        vals
+    }
+
+    #[test]
+    fn shift_division_matches_i128_division() {
+        let mut coefficients: Vec<i128> =
+            (0..=62).flat_map(|k| [1i128 << k, -(1i128 << k)]).collect();
+        coefficients.extend([3, -3, 5, -6, 12, -100, 1 << 40 | 1, i128::from(i64::MIN)]);
+        coefficients.push(i128::from(i64::MAX));
+        for &b in &coefficients {
+            for &a in &edge_values() {
+                assert_eq!(div_floor(a, b), div_floor_i128(a, b), "⌊{a} / {b}⌋");
+                assert_eq!(div_ceil(a, b), div_ceil_i128(a, b), "⌈{a} / {b}⌉");
+            }
+        }
+    }
+
+    /// [`prop_lin`] as it was with a 128-bit division for every
+    /// coefficient: the oracle of `prop_lin_matches_the_division_routine`.
+    fn prop_lin_reference(
+        changes: &mut Vec<(VarId, Dom)>,
+        doms: &[Dom],
+        terms: &[(VarId, i64)],
+        constant: i64,
+    ) -> Result<(), ()> {
+        let term_bounds = |v: VarId, c: i64| {
+            let iv = doms[v.index()].as_interval();
+            let (a, b) = (c as i128 * iv.lo() as i128, c as i128 * iv.hi() as i128);
+            (a.min(b), a.max(b))
+        };
+        let (mut total_lo, mut total_hi) = (constant as i128, constant as i128);
+        for &(v, c) in terms {
+            let (l, h) = term_bounds(v, c);
+            total_lo += l;
+            total_hi += h;
+        }
+        if total_lo > 0 || total_hi < 0 {
+            return Err(());
+        }
+        for &(v, c) in terms {
+            let (own_lo, own_hi) = term_bounds(v, c);
+            let rest_lo = total_lo - own_lo;
+            let rest_hi = total_hi - own_hi;
+            let (num_lo, num_hi) = (-rest_hi, -rest_lo);
+            let (lo, hi) = if c > 0 {
+                (
+                    div_ceil_i128(num_lo, c as i128),
+                    div_floor_i128(num_hi, c as i128),
+                )
+            } else {
+                (
+                    div_ceil_i128(num_hi, c as i128),
+                    div_floor_i128(num_lo, c as i128),
+                )
+            };
+            if lo > hi {
+                return Err(());
+            }
+            let new = Interval::new(sat_i64(lo), sat_i64(hi));
+            meet_interval(changes, v, &doms[v.index()], new)?;
+        }
+        Ok(())
+    }
+
+    fn coefficient() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            (0u32..63, any::<bool>()).prop_map(|(k, neg)| {
+                let c = 1i64 << k;
+                if neg {
+                    -c
+                } else {
+                    c
+                }
+            }),
+            (-40i64..40).prop_map(|c| if c == 0 { 7 } else { c }),
+            any::<i64>().prop_map(|c| if c == 0 { 1 } else { c }),
+        ]
+    }
+
+    fn bound() -> impl Strategy<Value = i64> {
+        prop_oneof![
+            -300i64..300,
+            any::<i64>(),
+            (0u32..63).prop_map(|k| 1i64 << k),
+            (0u32..63).prop_map(|k| -(1i64 << k)),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2000))]
+
+        /// The shift paths change no bound: on random terms, coefficients
+        /// and domains, [`prop_lin`] narrows (or conflicts) exactly as the
+        /// all-division routine does.
+        #[test]
+        fn prop_lin_matches_the_division_routine(
+            terms in proptest::collection::vec((coefficient(), bound(), bound(), 0u8..5), 1..6),
+            constant in bound(),
+        ) {
+            // One term in five is a Boolean (unknown, false or true).
+            const TRIS: [Tribool; 3] = [Tribool::Unknown, Tribool::False, Tribool::True];
+            let doms: Vec<Dom> = terms
+                .iter()
+                .map(|&(_, x, y, kind)| match kind {
+                    0 => b(TRIS[x.rem_euclid(3) as usize]),
+                    _ => w(x.min(y), x.max(y)),
+                })
+                .collect();
+            let lin: Vec<(VarId, i64)> = terms
+                .iter()
+                .enumerate()
+                .map(|(i, t)| (v(i as u32), t.0))
+                .collect();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let got_ok = prop_lin(&mut got, &doms, &lin, constant);
+            let want_ok = prop_lin_reference(&mut want, &doms, &lin, constant);
+            prop_assert_eq!(got_ok, want_ok);
+            if got_ok.is_ok() {
+                prop_assert_eq!(got, want);
+            }
         }
     }
 

@@ -1195,7 +1195,7 @@ mod analysis_walk {
     use crate::engine::{Analyzed, ConflictInfo, Engine, Falsified, Propagation};
     use crate::types::{Dom, HLit, Reason, VarId};
 
-    fn lcg(state: &mut u64) -> u64 {
+    pub(super) fn lcg(state: &mut u64) -> u64 {
         *state = state
             .wrapping_mul(6364136223846793005)
             .wrapping_add(1442695040888963407);
@@ -1304,7 +1304,7 @@ mod analysis_walk {
         compared
     }
 
-    fn random_steps(rng: &mut u64, len: usize) -> Vec<Step> {
+    pub(super) fn random_steps(rng: &mut u64, len: usize) -> Vec<Step> {
         const OPS: [CmpOp; 6] = [
             CmpOp::Eq,
             CmpOp::Ne,
@@ -1336,7 +1336,7 @@ mod analysis_walk {
     /// A `mux_search`-style selector chain: `x_{i+1} = sel_i ? x_i + w_i
     /// : x_i` from `x_0 = 0`, required to end on a sum no selection
     /// reaches (UNSAT, and conflict-heavy under any decision order).
-    fn selector_chain(stages: usize) -> (Netlist, SignalId) {
+    pub(super) fn selector_chain(stages: usize) -> (Netlist, SignalId) {
         let mut state = 0x9e37_79b9_u64;
         let weights: Vec<i64> = (0..stages)
             .map(|_| 60 + lcg(&mut state) as i64 % 128)
@@ -1579,5 +1579,363 @@ mod analysis_walk {
         assert_eq!(trail.counts[4], 2);
         // Only the analysis that learned a lemma traces a conflict.
         assert_eq!(snap.hist(HistKind::LemmaWidth).total, 1);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Watched hybrid literals: every fixpoint is the occurrence-list one
+// ---------------------------------------------------------------------
+
+mod watched_clauses {
+    use std::sync::Arc;
+
+    use rtl_interval::{Interval, Tribool};
+    use rtl_ir::{CmpOp, Netlist, SignalId};
+
+    use super::analysis_walk::{lcg, random_steps, selector_chain};
+    use super::build_random;
+    use crate::engine::{
+        ConflictInfo, Engine, EngineStats, Falsified, Propagation, CHECK_FIXPOINTS,
+    };
+    use crate::session::{Assumption, Session};
+    use crate::types::{ClauseDbConfig, Dom, HLit, Reason, VarId};
+    use crate::{LearnConfig, SolverConfig};
+
+    /// Checks every fixpoint this thread's engines reach
+    /// ([`Engine::assert_fixpoint`]) while alive.
+    struct FixpointChecks;
+
+    impl FixpointChecks {
+        fn on() -> Self {
+            CHECK_FIXPOINTS.with(|c| c.set(true));
+            FixpointChecks
+        }
+    }
+
+    impl Drop for FixpointChecks {
+        fn drop(&mut self) {
+            CHECK_FIXPOINTS.with(|c| c.set(false));
+        }
+    }
+
+    /// Drives a learning search with random decisions over `n` under
+    /// `goal`: random scheduled restarts, and a clause-DB reduction after
+    /// every second lemma. A complete assignment restarts from the root,
+    /// so lemmas keep accumulating until the instance is refuted or
+    /// `rounds` decisions were made. Returns the engine's counters.
+    fn checked_search(n: &Netlist, goal: SignalId, seed: u64, rounds: usize) -> EngineStats {
+        let compiled = Arc::new(crate::compile::compile(n));
+        let mut engine = Engine::new(Arc::clone(&compiled));
+        if !engine.assert_external(compiled.var_of(goal), Dom::B(Tribool::True)) {
+            return engine.stats;
+        }
+        engine.schedule_all();
+        let db = ClauseDbConfig {
+            reduce: true,
+            first_reduce: 2,
+            reduce_inc: 0,
+        };
+        let bool_only = seed % 2 == 1;
+        let mut rng = seed;
+        let mut decisions = 0;
+        while decisions < rounds {
+            match engine.propagate() {
+                Propagation::Conflict(conflict) => {
+                    match engine.analyze_mode(&conflict, bool_only) {
+                        Some(lemma) => {
+                            engine.learn_and_backtrack(lemma);
+                            engine.maybe_reduce(&db);
+                        }
+                        None => break,
+                    }
+                }
+                Propagation::Fixpoint => {
+                    let free: Vec<VarId> = compiled
+                        .decision_vars
+                        .iter()
+                        .copied()
+                        .filter(|&v| !engine.dom(v).is_fixed())
+                        .collect();
+                    if free.is_empty() {
+                        if engine.level() == 0 {
+                            break;
+                        }
+                        engine.backtrack(0);
+                        continue;
+                    }
+                    let r = lcg(&mut rng);
+                    if r % 13 == 0 && engine.level() > 0 {
+                        engine.restart();
+                        continue;
+                    }
+                    engine.decide(free[r as usize % free.len()], r & 2 == 2);
+                    decisions += 1;
+                }
+                Propagation::Aborted(reason) => unreachable!("no budget set: {reason:?}"),
+            }
+        }
+        engine.stats
+    }
+
+    #[test]
+    fn fixpoints_hold_on_random_searches() {
+        let _checks = FixpointChecks::on();
+        let mut rng = 0xfeed_u64;
+        let (mut conflicts, mut restarts) = (0, 0);
+        for case in 0..300 {
+            let len = 1 + lcg(&mut rng) as usize % 24;
+            let steps = random_steps(&mut rng, len);
+            let (n, goal) = build_random(&steps, (lcg(&mut rng) % 16) as i64);
+            let stats = checked_search(&n, goal, case, 200);
+            conflicts += stats.conflicts;
+            restarts += stats.restarts_scheduled;
+        }
+        assert!(
+            conflicts >= 300 && restarts > 0,
+            "{conflicts} conflicts, {restarts} restarts"
+        );
+    }
+
+    #[test]
+    fn fixpoints_hold_on_selector_chains() {
+        let _checks = FixpointChecks::on();
+        let (mut conflicts, mut deleted) = (0, 0);
+        for stages in 4..=12 {
+            let (n, goal) = selector_chain(stages);
+            for seed in 0..4 {
+                let stats = checked_search(&n, goal, seed, 400);
+                conflicts += stats.conflicts;
+                deleted += stats.lemmas_deleted;
+            }
+        }
+        assert!(
+            conflicts >= 800 && deleted > 0,
+            "{conflicts} conflicts, {deleted} deleted"
+        );
+    }
+
+    /// The benchmark's b13 `p2` sweep: the watches of retained lemmas
+    /// survive every `extend` (`Engine::grow`), query and restart.
+    #[test]
+    fn fixpoints_hold_across_a_b13_session_sweep() {
+        let _checks = FixpointChecks::on();
+        let circuit = rtl_itc99::b13();
+        for config in [
+            SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true),
+            SolverConfig::hdpll(),
+        ] {
+            let mut unroller = circuit.unroller();
+            let mut base = unroller.base_netlist();
+            unroller.push_frame(&mut base).unwrap();
+            let mut session = Session::new(&base, config);
+            for depth in 0..40 {
+                if depth > 0 {
+                    session.extend(|n| unroller.push_frame(n).unwrap());
+                }
+                let bad = unroller.bad("p2", depth).unwrap();
+                assert!(
+                    session.solve(&[Assumption::yes(bad)]).result.is_unsat(),
+                    "p2@{depth}"
+                );
+            }
+            assert!(session.stats().engine.conflicts > 0);
+        }
+    }
+
+    /// An engine over a 4-bit word `w`, a Boolean `b`, and one comparator
+    /// `w ≥ k` per threshold, at its level-0 fixpoint: deciding a
+    /// comparator true narrows `w` from below.
+    fn ladder_engine(thresholds: &[i64]) -> (Engine, VarId, VarId, Vec<VarId>) {
+        let mut n = Netlist::new("ladder");
+        let w = n.input_word("w", 4).unwrap();
+        let b = n.input_bool("b").unwrap();
+        let ge: Vec<SignalId> = thresholds
+            .iter()
+            .map(|&k| {
+                let c = n.const_word(k, 4).unwrap();
+                n.cmp(CmpOp::Ge, w, c).unwrap()
+            })
+            .collect();
+        let compiled = Arc::new(crate::compile::compile(&n));
+        let mut engine = Engine::new(Arc::clone(&compiled));
+        engine.schedule_all();
+        assert!(matches!(engine.propagate(), Propagation::Fixpoint));
+        let ge = ge.iter().map(|&s| compiled.var_of(s)).collect();
+        (engine, compiled.var_of(w), compiled.var_of(b), ge)
+    }
+
+    fn word(lo: i64, hi: i64) -> Dom {
+        Dom::W(Interval::new(lo, hi))
+    }
+
+    fn lit(var: VarId, lo: i64, hi: i64, positive: bool) -> HLit {
+        HLit::Word {
+            var,
+            iv: Interval::new(lo, hi),
+            positive,
+        }
+    }
+
+    fn fixpoint(e: &mut Engine) {
+        assert!(matches!(e.propagate(), Propagation::Fixpoint));
+    }
+
+    #[test]
+    fn a_stuck_word_literal_fires_once_a_narrowing_allows_it() {
+        let _checks = FixpointChecks::on();
+        let (mut e, w, b, ge) = ladder_engine(&[3]);
+        let not_b = HLit::Bool {
+            var: b,
+            value: false,
+        };
+        let c = e.add_clause(vec![not_b, lit(w, 3, 5, false)], false);
+        fixpoint(&mut e);
+        e.decide(b, true);
+        fixpoint(&mut e);
+        // Unit on `w ∉ [3, 5]`, a hole strictly inside `[0, 15]`.
+        assert_eq!(*e.dom(w), word(0, 15));
+        e.decide(ge[0], true);
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(w), word(6, 15));
+        assert_eq!(e.trail.last().unwrap().reason, Reason::Clause(c));
+    }
+
+    #[test]
+    fn clauses_over_one_variable_see_its_narrowings() {
+        let _checks = FixpointChecks::on();
+        // Two literals of `w`: w ≤ 3 or w ≥ 12.
+        let (mut e, w, _, ge) = ladder_engine(&[2, 5]);
+        let pair = e.add_clause(vec![lit(w, 0, 3, true), lit(w, 12, 15, true)], false);
+        fixpoint(&mut e);
+        assert_eq!(e.watch_list(w), &[pair]);
+        e.decide(ge[0], true);
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(w), word(2, 15));
+        e.decide(ge[1], true);
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(w), word(12, 15));
+        assert_eq!(e.trail.last().unwrap().reason, Reason::Clause(pair));
+        // One literal, stuck until the hole reaches an end of the domain.
+        let (mut e, w, _, ge) = ladder_engine(&[5, 7]);
+        let single = e.add_clause(vec![lit(w, 6, 9, false)], false);
+        assert_eq!(e.clauses[single as usize].watch, [0, 0]);
+        fixpoint(&mut e);
+        e.decide(ge[0], true);
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(w), word(5, 15));
+        e.decide(ge[1], true);
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(w), word(10, 15));
+        assert_eq!(e.trail.last().unwrap().reason, Reason::Clause(single));
+    }
+
+    #[test]
+    fn tombstoned_clauses_are_never_visited_again() {
+        let _checks = FixpointChecks::on();
+        let (mut e, w, b, ge) = ladder_engine(&[3]);
+        let not_b = HLit::Bool {
+            var: b,
+            value: false,
+        };
+        let not_ge = HLit::Bool {
+            var: ge[0],
+            value: false,
+        };
+        let worse = e.add_clause(vec![not_b, lit(w, 8, 15, true)], true);
+        let kept = e.add_clause(vec![not_ge, lit(w, 0, 1, false)], true);
+        e.clauses[worse as usize].lbd = 4;
+        e.clauses[kept as usize].lbd = 3;
+        fixpoint(&mut e);
+        let reduce = ClauseDbConfig {
+            reduce: true,
+            first_reduce: 0,
+            reduce_inc: 0,
+        };
+        assert_eq!(e.maybe_reduce(&reduce), Some(vec![worse]));
+        assert!(e.watch_list(b).is_empty());
+        assert_eq!(e.watch_list(w), &[kept]);
+        let visits = e.stats.clause_props;
+        e.decide(b, true);
+        fixpoint(&mut e);
+        assert_eq!((*e.dom(w), e.stats.clause_props), (word(0, 15), visits));
+    }
+
+    #[test]
+    fn a_lemma_asserting_at_level_zero_keeps_its_watch() {
+        let _checks = FixpointChecks::on();
+        let (mut e, w, b, ge) = ladder_engine(&[3]);
+        e.decide(b, true);
+        fixpoint(&mut e);
+        let conflict = ConflictInfo {
+            antecedents: vec![e.trail.len() as u32 - 1],
+            falsified: Falsified::Nothing,
+        };
+        let lemma = e.analyze_mode(&conflict, false).unwrap();
+        assert_eq!(lemma.blevel, 0);
+        let id = e.learn_and_backtrack(lemma);
+        fixpoint(&mut e);
+        assert_eq!((e.level(), *e.dom(b)), (0, Dom::B(Tribool::False)));
+        assert_eq!(e.clauses[id as usize].watch, [0, 0]);
+        assert_eq!(e.watch_list(b), &[id]);
+        // Later levels come and go; the root fact and its watch stay.
+        e.decide(ge[0], true);
+        fixpoint(&mut e);
+        e.backtrack(0);
+        fixpoint(&mut e);
+        assert_eq!(
+            (*e.dom(b), *e.dom(w)),
+            (Dom::B(Tribool::False), word(0, 15))
+        );
+        assert_eq!(e.watch_list(b), &[id]);
+    }
+
+    #[test]
+    fn watches_survive_restart_reduction_and_grow() {
+        let _checks = FixpointChecks::on();
+        let mut n = Netlist::new("grown");
+        let w = n.input_word("w", 4).unwrap();
+        let b = n.input_bool("b").unwrap();
+        let compiled = Arc::new(crate::compile::compile(&n));
+        let (wv, bv) = (compiled.var_of(w), compiled.var_of(b));
+        let mut e = Engine::new(compiled);
+        e.schedule_all();
+        fixpoint(&mut e);
+        let not_b = HLit::Bool {
+            var: bv,
+            value: false,
+        };
+        // b → w ≥ 8, and a deletable lemma b → w ≠ 9.
+        let kept = e.add_clause(vec![not_b, lit(wv, 8, 15, true)], true);
+        let dropped = e.add_clause(vec![not_b, lit(wv, 9, 9, false)], true);
+        e.clauses[kept as usize].lbd = 3;
+        e.clauses[dropped as usize].lbd = 4;
+        fixpoint(&mut e);
+        e.decide(bv, true);
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(wv), word(8, 15));
+        e.restart();
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(wv), word(0, 15));
+        let reduce = ClauseDbConfig {
+            reduce: true,
+            first_reduce: 0,
+            reduce_inc: 0,
+        };
+        assert_eq!(e.maybe_reduce(&reduce), Some(vec![dropped]));
+        // Grow the problem at level 0: g ⇔ w ≥ 12, a new constraint over
+        // an old variable.
+        let twelve = n.const_word(12, 4).unwrap();
+        let g = n.cmp(CmpOp::Ge, w, twelve).unwrap();
+        Arc::make_mut(&mut e.compiled).extend(&n);
+        e.grow();
+        fixpoint(&mut e);
+        let gv = e.compiled.var_of(g);
+        e.decide(gv, false);
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(wv), word(0, 11));
+        e.decide(bv, true);
+        fixpoint(&mut e);
+        assert_eq!(*e.dom(wv), word(8, 11));
+        assert_eq!(e.trail.last().unwrap().reason, Reason::Clause(kept));
     }
 }

@@ -352,6 +352,10 @@ pub struct HClause {
     /// Tombstone flag: a deleted clause keeps its id (reasons and proof
     /// steps cite ids) but is unwatched and never propagated again.
     pub deleted: bool,
+    /// Positions in `lits` of the two watched literals (both `0` for a
+    /// one-literal clause). Watching never reorders `lits`: proof
+    /// logging prints them as learned, the UIP literal first.
+    pub watch: [u32; 2],
 }
 
 /// How scheduled restarts are triggered ([`crate::SolverConfig`]).

@@ -5,19 +5,23 @@
 //! that survives a text round-trip), and the supervised entry point
 //! must certify those verdicts with [`Certification::Proof`].
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
+use std::process::Command;
 
 use rtlsat::baselines::default_supervisor;
+use rtl_bench::hotpath::{b13_sweep, fnv1a, B13_SWEEPS};
 use rtlsat::hdpll::{
     Assumption, Certification, ClauseDbConfig, HdpllResult, LearnConfig, Session, SessionCert,
     Solver, SolverConfig,
 };
 use rtlsat::ir::{text, Netlist, SignalId};
 use rtlsat::proof::{format, resolve_goal, Checker};
+use rtlsat::serve::{session_rungs, SolveOptions};
 
 struct Case {
     file: String,
     netlist: Netlist,
+    goal_name: String,
     goal: SignalId,
     unsat: bool,
 }
@@ -59,6 +63,7 @@ fn corpus() -> Vec<Case> {
         cases.push(Case {
             file: file.to_string(),
             netlist,
+            goal_name: goal_name.to_string(),
             goal,
             unsat,
         });
@@ -381,4 +386,119 @@ fn supervised_certifies_every_unsat_with_a_proof() {
         }
         assert_eq!(result.cert_failures(), 0, "{}: certification failures", case.file);
     }
+}
+
+/// Digests of what `rtlsat` writes for every single-goal case under each
+/// search engine, preprocessing on and off: the `--trace` event stream,
+/// and for `unsat` cases the `--proof` text and its `.preproc` bundle.
+fn cli_digests(out_dir: &Path) -> Vec<(String, u64)> {
+    let mut digests = Vec::new();
+    for case in corpus() {
+        for engine in ["hdpll", "hdpll-s", "hdpll-sp"] {
+            for preproc in [true, false] {
+                let tag = format!("{} {engine} {}", case.file, if preproc { "on" } else { "off" });
+                let stem = tag.replace(['.', ' '], "_");
+                let file = |ext: &str| out_dir.join(format!("{stem}.{ext}"));
+                let (proof, trace, bundle) = (file("proof"), file("trace"), file("proof.preproc"));
+                let mut cmd = Command::new(env!("CARGO_BIN_EXE_rtlsat"));
+                cmd.arg(corpus_dir().join(&case.file))
+                    .arg(&case.goal_name)
+                    .args(["--engine", engine])
+                    .arg("--proof")
+                    .arg(&proof)
+                    .arg("--trace")
+                    .arg(&trace);
+                if !preproc {
+                    cmd.arg("--no-preproc");
+                }
+                let status = cmd.output().expect("rtlsat runs").status;
+                let expected = if case.unsat { 20 } else { 0 };
+                assert_eq!(status.code(), Some(expected), "{tag}: exit status");
+                let mut files = vec![("trace", trace)];
+                if case.unsat {
+                    files.push(("proof", proof));
+                }
+                // The bundle is written only when the proof is stated
+                // over a simplified netlist.
+                if bundle.exists() {
+                    files.push(("bundle", bundle));
+                }
+                for (kind, path) in files {
+                    let bytes =
+                        std::fs::read(&path).unwrap_or_else(|e| panic!("{tag} {kind}: {e}"));
+                    digests.push((format!("{tag} {kind}"), fnv1a(&bytes)));
+                }
+            }
+        }
+    }
+    digests
+}
+
+/// One digest per benchmark BMC sweep over ITC'99 b13 (the default
+/// session rungs): the printed assumption proofs of all its depths, in
+/// order.
+fn b13_sweep_digests() -> Vec<(String, u64)> {
+    let rungs = session_rungs(&SolveOptions::default()).expect("default rungs");
+    B13_SWEEPS
+        .into_iter()
+        .map(|(prop, depths)| {
+            let (_, proofs) = b13_sweep(prop, depths, rungs.clone());
+            let text: String = proofs
+                .iter()
+                .enumerate()
+                .map(|(depth, proof)| format!("depth {depth}\n{proof}"))
+                .collect();
+            (format!("b13 {prop} proofs"), fnv1a(text.as_bytes()))
+        })
+        .collect()
+}
+
+/// `tests/golden/CERTS` pins the bytes of every certificate the corpus
+/// and the benchmark's b13 sweeps produce, so a change that claims to
+/// keep search and certificates unchanged is checked, not compared by
+/// hand. A deliberate change to search or proof text re-blesses with:
+///
+///     RTLSAT_BLESS_CERTS=1 cargo test --release --test golden certificates
+#[test]
+fn certificates_match_pinned_digests() {
+    let path = corpus_dir().join("CERTS");
+    let out_dir = std::env::temp_dir().join(format!("rtlsat_golden_certs_{}", std::process::id()));
+    std::fs::create_dir_all(&out_dir).expect("create output dir");
+    let mut measured = cli_digests(&out_dir);
+    std::fs::remove_dir_all(&out_dir).ok();
+    measured.extend(b13_sweep_digests());
+    if std::env::var_os("RTLSAT_BLESS_CERTS").is_some() {
+        let mut text = String::from(
+            "# <case> <engine> <preproc on|off> <trace|proof|bundle> <FNV-1a 64>, and\n\
+             # b13 <property> proofs <FNV-1a 64> — certificate bytes, pinned.\n\
+             # Regenerate: RTLSAT_BLESS_CERTS=1 cargo test --release --test golden certificates\n",
+        );
+        for (key, digest) in &measured {
+            text.push_str(&format!("{key} {digest:016x}\n"));
+        }
+        std::fs::write(&path, text).expect("write CERTS pins");
+        return;
+    }
+    let pins = std::fs::read_to_string(&path).expect("read tests/golden/CERTS");
+    let pinned: std::collections::BTreeMap<&str, &str> = pins
+        .lines()
+        .map(|l| l.split('#').next().unwrap().trim())
+        .filter(|l| !l.is_empty())
+        .map(|l| l.rsplit_once(' ').expect("<key> <digest>"))
+        .collect();
+    let mut diverged = Vec::new();
+    for (key, digest) in &measured {
+        match pinned.get(key.as_str()) {
+            Some(pin) if *pin == format!("{digest:016x}") => {}
+            Some(_) => diverged.push(format!("{key}: bytes changed")),
+            None => diverged.push(format!("{key}: not pinned")),
+        }
+    }
+    assert_eq!(pinned.len(), measured.len(), "CERTS pins a different set of outputs");
+    assert!(
+        diverged.is_empty(),
+        "certificates diverged from tests/golden/CERTS (re-bless only after a \
+         deliberate change to search or proof text):\n{}",
+        diverged.join("\n")
+    );
 }
