@@ -302,7 +302,7 @@ fn main() {
             preproc_min_ns: pns[0],
             preproc_median_ns: pns[pns.len() / 2],
             preproc_signals_removed: pre.stats.removed() as u64,
-            preproc_subterms_shared: pre.stats.shares as u64,
+            preproc_subterms_shared: pre.stats.shares,
             baseline_median_ns: baseline_rows
                 .iter()
                 .find(|b| b.name == w.name)
@@ -533,9 +533,9 @@ fn render_json(rows: &[Row], session_ab: &SessionAb) -> String {
         s.push('\n');
     }
     s.push_str("  ],\n");
-    let _ = write!(
+    let _ = writeln!(
         s,
-        "  \"session_bmc\": {{\"name\": \"session_bmc_counter\", \"depths\": {}, \"session_min_ns\": {}, \"session_median_ns\": {}, \"fresh_min_ns\": {}, \"fresh_median_ns\": {}, \"session_speedup\": {:.3}}}\n",
+        "  \"session_bmc\": {{\"name\": \"session_bmc_counter\", \"depths\": {}, \"session_min_ns\": {}, \"session_median_ns\": {}, \"fresh_min_ns\": {}, \"fresh_median_ns\": {}, \"session_speedup\": {:.3}}}",
         session_ab.depths,
         session_ab.session_min_ns,
         session_ab.session_median_ns,

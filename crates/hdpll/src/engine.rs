@@ -277,7 +277,7 @@ pub(crate) struct Engine {
     /// every subsequent [`Engine::propagate`] call.
     aborted: Option<AbortReason>,
     /// Test-only fault injection (all fields `None` in production).
-    faults: FaultPlan,
+    pub faults: FaultPlan,
     /// Telemetry sink; the default handle is off and every hook call is
     /// a single inlined branch (read-only w.r.t. the search).
     pub obs: ObsHandle,

@@ -62,6 +62,7 @@ mod engine;
 mod final_check;
 mod prooflog;
 mod propagate;
+mod search;
 mod types;
 
 pub mod justify;

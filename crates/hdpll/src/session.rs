@@ -11,19 +11,15 @@
 //! related queries (the BMC use case) shares work that fresh per-query
 //! solves would redo from scratch.
 //!
-//! **Assumption semantics** (MiniSat-style): assumption `i` of a query
-//! is a Boolean decision pinned at decision level `i + 1`. The search
-//! never flips or unlearns it within the query; an assumption whose
-//! signal is already implied opens an empty level
-//! ([`Engine::open_level`]) to keep the level correspondence, and an
-//! assumption implied *false* at a lower level proves the query
-//! Unsat-under-assumptions. Because assumptions are ordinary decisions,
-//! every clause learned during the query is *globally* valid —
-//! assumption dependence surfaces as negated-assumption literals inside
-//! the clause — which is exactly what makes retention across queries
-//! sound. (The chronological [`LearningMode::None`] would flip
-//! assumption decisions, so sessions run it as
-//! [`LearningMode::Hybrid`].)
+//! **Assumption semantics** (MiniSat-style): a query runs the same
+//! Algorithm 1 loop as a one-shot [`crate::Solver`], with its
+//! assumptions as the pinned decision prefix (DESIGN.md §2.3).
+//! Because assumptions are ordinary decisions, every clause learned
+//! during the query is *globally* valid — assumption dependence
+//! surfaces as negated-assumption literals inside the clause — which is
+//! exactly what makes retention across queries sound. (The
+//! chronological [`LearningMode::None`] would flip assumption
+//! decisions, so sessions run it as [`LearningMode::Hybrid`].)
 //!
 //! **Growth**: [`Session::extend`] appends signals to the netlist in
 //! place and grows the compiled problem, the engine, and the session
@@ -53,23 +49,19 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use rtl_ir::simplify::{SignalMap, Simplifier, SimplifyStats};
-use rtl_ir::{analysis, eval, Netlist, SignalId};
+use rtl_ir::{eval, Netlist, SignalId};
 use rtl_obs::{DurHist, ObsHandle, PhaseAcc};
 use rtl_proof::{CheckReport, Checker, Proof};
 
 use crate::compile::compile;
-use crate::decide::{pick_activity, LearnWeights};
-use crate::engine::{ConflictInfo, Engine, Propagation};
-use crate::final_check::{final_check, FinalOutcome};
-use crate::justify::{pick_structural, Structural, StructuralIndex};
+use crate::decide::LearnWeights;
+use crate::engine::{Engine, Propagation};
 use crate::predlearn;
 use crate::prooflog::ProofLog;
-use crate::solver::{
-    flush_search_phases, HdpllResult, LearningMode, Limits, SolverConfig, SolverStats,
-    P_ANALYZE, P_DECIDE, P_FINAL, P_PROOF, P_PROPAGATE, P_RESTART, SEARCH_PHASES,
-};
+use crate::search::{self, flush_search_phases, Outcome, Search, SEARCH_PHASES};
+use crate::solver::{HdpllResult, LearningMode, Limits, SolverConfig, SolverStats};
 use crate::supervise::{CancelToken, FaultPlan};
-use crate::types::{AbortReason, DecisionStrategy, Dom, RestartMode, VarId};
+use crate::types::{AbortReason, VarId};
 
 /// One assumption of an incremental query: `signal = value`, pinned
 /// for the duration of a single [`Session::solve`] call.
@@ -131,16 +123,6 @@ pub struct Certified {
     pub abort: Option<AbortReason>,
 }
 
-/// Which way a query's search concluded (internal).
-enum Verdict {
-    Sat(Vec<i64>),
-    /// The empty clause was derived: unsat regardless of assumptions.
-    RootUnsat,
-    /// An assumption was implied false below its own level.
-    AssumptionConflict,
-    Unknown(AbortReason),
-}
-
 /// An incremental solve session over one growing netlist. See the
 /// [module documentation](self).
 pub struct Session {
@@ -159,9 +141,7 @@ pub struct Session {
     /// Checker work spent certifying this session's answers, summed
     /// over every certifier call after construction.
     certify_work: CheckReport,
-    faults: FaultPlan,
     weights: LearnWeights,
-    has_weights: bool,
     /// The empty clause holds: every further query is Unsat.
     root_unsat: bool,
     /// Level 0 may be short of its propagation fixpoint — a new session,
@@ -228,9 +208,7 @@ impl Session {
             proof,
             certifier,
             certify_work: CheckReport::default(),
-            faults: FaultPlan::default(),
             weights: LearnWeights::new(num_vars),
-            has_weights: config.learn.is_some(),
             root_unsat: false,
             sweep: true,
             queries: 0,
@@ -260,7 +238,6 @@ impl Session {
     /// Arms a [`FaultPlan`] for subsequent queries (test only; the
     /// default plan is clean and free on the hot path).
     pub fn inject_faults(&mut self, faults: FaultPlan) {
-        self.faults = faults;
         self.engine.set_faults(faults);
     }
 
@@ -482,191 +459,39 @@ impl Session {
         // constraint re-scheduled (DESIGN.md §2.12).
         self.engine.backtrack(0);
         self.engine.clear_abort();
-        let deadline = self.config.limits.max_time.map(|t| Instant::now() + t);
-        self.engine.set_budget(
-            deadline,
-            cancel.map(|c| c.flag()),
-            self.config.limits.max_propagations,
-            self.config.limits.max_memory,
-        );
-        self.engine.set_obs(self.obs.clone());
+        let deadline = search::arm(&mut self.engine, &self.config.limits, cancel, &self.obs);
         if std::mem::take(&mut self.sweep) {
             self.engine.schedule_all();
         }
-        let stats_base = self.engine.stats;
+        let base = self.engine.stats;
 
-        let mut acc = PhaseAcc::<SEARCH_PHASES>::new(self.obs.profiling());
-        self.obs.profile_enter("search");
-        let verdict = {
-            let Session {
-                netlist,
-                pre,
-                engine,
-                config,
-                proof,
-                faults,
-                weights,
-                has_weights,
-                ..
-            } = self;
-            let solved = pre.as_ref().map_or(&*netlist, Simplifier::netlist);
-            let weights_ref = has_weights.then_some(&*weights);
-
-            // Chronological flipping would flip assumption decisions;
-            // sessions always learn (see the module docs).
-            let learning = match config.learning {
+        // Chronological flipping would flip assumption decisions;
+        // sessions always learn (see the module docs).
+        let config = SolverConfig {
+            learning: match self.config.learning {
                 LearningMode::None => LearningMode::Hybrid,
                 mode => mode,
-            };
-            let restart_mode = match config.decision {
-                DecisionStrategy::Activity => config.restarts,
-                DecisionStrategy::Structural => RestartMode::Off,
-            };
-            let db_cfg = config.db;
-            let corrupt_deletion = faults.corrupt_deletion;
-            let structural_index = match config.decision {
-                DecisionStrategy::Structural => {
-                    // `StructuralIndex` scores by topological level,
-                    // indexed by *variable*; translate the signal-level
-                    // vector through the (segment-wise) allocation map.
-                    let levels = analysis::levels(solved);
-                    let mut var_levels = vec![0u32; engine.doms.len()];
-                    for (sig, &lvl) in levels.iter().enumerate() {
-                        var_levels[engine.compiled.sig_var[sig].index()] = lvl;
-                    }
-                    Some(StructuralIndex::new(engine, &var_levels))
-                }
-                DecisionStrategy::Activity => None,
-            };
-
-            let handle_conflict = |engine: &mut Engine,
-                                   proof: &mut Option<ProofLog>,
-                                   conflict: &ConflictInfo,
-                                   acc: &mut PhaseAcc<SEARCH_PHASES>| {
-                let bool_only = learning == LearningMode::BoolOnly;
-                match engine.analyze_mode(conflict, bool_only) {
-                    None => false,
-                    Some(mut a) => {
-                        let used = std::mem::take(&mut a.used);
-                        let hints = a.hints.take();
-                        let cid = engine.learn_and_backtrack(a);
-                        acc.tick(P_ANALYZE);
-                        if let Some(p) = proof.as_mut() {
-                            p.log_engine_clause(engine, cid, Vec::new(), &used, hints);
-                            acc.tick(P_PROOF);
-                        }
-                        if engine.should_restart(restart_mode) {
-                            engine.restart();
-                            acc.tick(P_RESTART);
-                        }
-                        if let Some(dropped) = engine.maybe_reduce(&db_cfg) {
-                            if let Some(p) = proof.as_mut() {
-                                if corrupt_deletion == Some(engine.stats.db_reductions - 1) {
-                                    p.log_bogus_deletion();
-                                }
-                                p.log_deletions(&dropped);
-                                acc.tick(P_PROOF);
-                            }
-                        }
-                        true
-                    }
-                }
-            };
-
-            let search_start = Instant::now();
-            acc.begin();
-            let verdict = loop {
-                match engine.propagate() {
-                    Propagation::Conflict(conflict) => {
-                        acc.tick(P_PROPAGATE);
-                        let live = handle_conflict(engine, proof, &conflict, &mut acc);
-                        acc.tick(P_ANALYZE);
-                        if !live {
-                            break Verdict::RootUnsat;
-                        }
-                        continue;
-                    }
-                    Propagation::Aborted(reason) => {
-                        acc.tick(P_PROPAGATE);
-                        break Verdict::Unknown(reason);
-                    }
-                    Propagation::Fixpoint => acc.tick(P_PROPAGATE),
-                }
-                if let Some(reason) = exceeded(&config.limits, engine, &stats_base, deadline) {
-                    break Verdict::Unknown(reason);
-                }
-                // Re-establish the assumption prefix: level `i + 1`
-                // carries assumption `i` (an empty level when it is
-                // already implied). Backjumps and restarts may unwind
-                // into the prefix; this loop rebuilds it.
-                let lvl = engine.level() as usize;
-                if lvl < asm.len() {
-                    let (var, value) = asm[lvl];
-                    match engine.dom(var) {
-                        Dom::B(t) => match t.to_bool() {
-                            Some(v) if v == value => engine.open_level(),
-                            Some(_) => break Verdict::AssumptionConflict,
-                            None => engine.decide(var, value),
-                        },
-                        Dom::W(_) => unreachable!("assumptions are validated Boolean"),
-                    }
-                    acc.tick(P_DECIDE);
-                    continue;
-                }
-                let decision = match &structural_index {
-                    Some(index) => match pick_structural(engine, index, weights_ref) {
-                        Structural::Decision(var, value) => Some((var, value)),
-                        Structural::Done => None,
-                        Structural::JConflict(conflict) => {
-                            engine.stats.j_conflicts += 1;
-                            acc.tick(P_DECIDE);
-                            let live = handle_conflict(engine, proof, &conflict, &mut acc);
-                            acc.tick(P_ANALYZE);
-                            if !live {
-                                break Verdict::RootUnsat;
-                            }
-                            continue;
-                        }
-                    },
-                    None => pick_activity(engine, weights_ref, true),
-                };
-                match decision {
-                    Some((var, value)) => {
-                        engine.decide(var, value);
-                        acc.tick(P_DECIDE);
-                    }
-                    None => {
-                        acc.tick(P_DECIDE);
-                        match final_check(engine) {
-                            FinalOutcome::Sat(values) => {
-                                acc.tick(P_FINAL);
-                                break Verdict::Sat(values);
-                            }
-                            FinalOutcome::Conflict(conflict) => {
-                                acc.tick(P_FINAL);
-                                let live = handle_conflict(engine, proof, &conflict, &mut acc);
-                                acc.tick(P_ANALYZE);
-                                if !live {
-                                    break Verdict::RootUnsat;
-                                }
-                            }
-                            FinalOutcome::Aborted(reason) => {
-                                acc.tick(P_FINAL);
-                                break Verdict::Unknown(reason);
-                            }
-                        }
-                    }
-                }
-            };
-            self.stats.search_time += search_start.elapsed();
-            verdict
+            },
+            ..self.config
         };
+        let mut acc = PhaseAcc::<SEARCH_PHASES>::new(self.obs.profiling());
+        self.obs.profile_enter("search");
+        let (outcome, search_time) = Search {
+            netlist: self.pre.as_ref().map_or(&self.netlist, Simplifier::netlist),
+            config: &config,
+            weights: self.config.learn.map(|_| &self.weights),
+            assumptions: &asm,
+            base,
+            deadline,
+        }
+        .run(&mut self.engine, &mut self.proof, &mut acc);
+        self.stats.search_time += search_time;
         flush_search_phases(&self.obs, &acc);
         self.obs.profile_exit();
 
         self.obs.profile_enter("certify");
-        let certified = match verdict {
-            Verdict::Sat(values) => {
+        let certified = match outcome {
+            Outcome::Sat(values) => {
                 // Read the model over the *original* inputs (inputs are
                 // never merged or pruned by session preprocessing, so
                 // each has its own image variable); certification below
@@ -698,12 +523,12 @@ impl Session {
                     abort: None,
                 }
             }
-            Verdict::RootUnsat => {
+            Outcome::RootUnsat => {
                 self.mark_root_unsat();
                 self.certify_unsat(&asm)
             }
-            Verdict::AssumptionConflict => self.certify_unsat(&asm),
-            Verdict::Unknown(reason) => {
+            Outcome::AssumptionConflict => self.certify_unsat(&asm),
+            Outcome::Unknown(reason) => {
                 self.sweep = true;
                 Certified {
                     result: HdpllResult::Unknown,
@@ -718,7 +543,7 @@ impl Session {
         // Quiescence: only level-0 facts stay live between queries.
         self.engine.backtrack(0);
         self.stats.abort = certified.abort;
-        self.finish_stats();
+        self.stats.engine = search::finish_stats(&self.engine, &base, &self.obs);
         certified
     }
 
@@ -780,17 +605,6 @@ impl Session {
             proof,
             abort: None,
         }
-    }
-
-    /// Projects cumulative engine counters into [`SolverStats`] (same
-    /// shape as [`crate::Solver::stats`]).
-    fn finish_stats(&mut self) {
-        self.stats.engine = self.engine.stats;
-        self.stats.engine.mem_peak = self
-            .stats
-            .engine
-            .mem_peak
-            .max(self.engine.approx_mem_bytes());
     }
 }
 
@@ -1130,42 +944,4 @@ fn give_up(fallbacks: Vec<SessionFallback>) -> SupervisedQuery {
         answered_by: None,
         fallbacks,
     }
-}
-
-/// Per-query limit check: counters are compared against their value at
-/// query start, so one query's spend never charges the next.
-fn exceeded(
-    limits: &Limits,
-    engine: &Engine,
-    base: &crate::engine::EngineStats,
-    deadline: Option<Instant>,
-) -> Option<AbortReason> {
-    if limits
-        .max_decisions
-        .is_some_and(|m| engine.stats.decisions - base.decisions >= m)
-    {
-        return Some(AbortReason::Decisions);
-    }
-    if limits
-        .max_conflicts
-        .is_some_and(|m| engine.stats.conflicts - base.conflicts >= m)
-    {
-        return Some(AbortReason::Conflicts);
-    }
-    if limits
-        .max_propagations
-        .is_some_and(|m| engine.stats.propagations - base.propagations >= m)
-    {
-        return Some(AbortReason::Propagations);
-    }
-    if limits
-        .max_memory
-        .is_some_and(|m| engine.approx_mem_bytes() > m)
-    {
-        return Some(AbortReason::Memory);
-    }
-    if deadline.is_some_and(|d| Instant::now() >= d) {
-        return Some(AbortReason::Deadline);
-    }
-    None
 }

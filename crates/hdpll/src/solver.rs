@@ -1,54 +1,23 @@
-//! The public HDPLL solver API (the paper's Algorithm 1).
+//! The public one-shot HDPLL solver API: goal assertion, the static
+//! predicate pass, then the paper's Algorithm 1 (`search.rs`, shared
+//! with incremental sessions) with an empty assumption prefix.
 
 use std::collections::HashMap;
 use std::time::{Duration, Instant};
 
-use rtl_ir::{analysis, eval, Netlist, SignalId};
+use rtl_ir::{eval, Netlist, SignalId};
 
 use crate::compile::{compile, Compiled};
-use crate::decide::{pick_activity, LearnWeights};
+use crate::decide::LearnWeights;
 use crate::engine::{Engine, EngineStats, Propagation};
-use crate::final_check::{final_check, FinalOutcome};
-use crate::justify::{pick_structural, Structural, StructuralIndex};
 use crate::predlearn::{self, LearnConfig, LearnReport};
 use crate::prooflog::ProofLog;
+use crate::search::{self, flush_search_phases, Outcome, Search, P_PROOF, SEARCH_PHASES};
 use crate::supervise::{CancelToken, FaultPlan};
 use crate::types::{AbortReason, ClauseDbConfig, DecisionStrategy, Dom, RestartMode};
 use rtl_interval::Tribool;
 use rtl_obs::{DurHist, ObsHandle, PhaseAcc};
 use rtl_proof::{CheckReport, Checker, Proof};
-
-/// Phase slots of the search loop's [`PhaseAcc`] (DESIGN.md §2.14):
-/// time is accumulated locally at phase boundaries and flushed into
-/// the profiler as leaves under the `search` span once per solve.
-pub(crate) const P_PROPAGATE: usize = 0;
-pub(crate) const P_DECIDE: usize = 1;
-pub(crate) const P_ANALYZE: usize = 2;
-pub(crate) const P_RESTART: usize = 3;
-pub(crate) const P_PROOF: usize = 4;
-pub(crate) const P_FINAL: usize = 5;
-pub(crate) const SEARCH_PHASES: usize = 6;
-const SEARCH_PHASE_NAMES: [&str; SEARCH_PHASES] = [
-    "propagate",
-    "decide",
-    "analyze",
-    "restart",
-    "proof",
-    "final_check",
-];
-
-/// Flushes a search-loop accumulator into the profiler as leaves under
-/// the currently open span (shared by [`Solver`] and
-/// [`crate::session::Session`]).
-pub(crate) fn flush_search_phases(obs: &ObsHandle, acc: &PhaseAcc<SEARCH_PHASES>) {
-    if !acc.is_on() {
-        return;
-    }
-    for (i, name) in SEARCH_PHASE_NAMES.iter().enumerate() {
-        let (ns, count, hist) = acc.phase(i);
-        obs.profile_leaf(name, ns, count, hist);
-    }
-}
 
 /// Resource budget for [`Solver::solve`]; exceeding any bound returns
 /// [`HdpllResult::Unknown`] (the experiment harness's "timeout").
@@ -114,7 +83,7 @@ pub struct SolverConfig {
     pub proof: bool,
     /// Scheduled-restart policy. Applies only to the
     /// [`DecisionStrategy::Activity`] search (the structural strategy's
-    /// restart-rebuild cost dwarfs the benefit — see `solve`), and is
+    /// restart-rebuild cost dwarfs the benefit, DESIGN.md §2.10), and is
     /// ignored by [`LearningMode::None`], whose termination argument
     /// requires an intact decision tree.
     pub restarts: RestartMode,
@@ -385,15 +354,8 @@ impl Solver {
         // Thread the budget into the propagation loop itself, so the
         // wall clock and cancellation hold even during propagation
         // bursts (and during static learning below).
-        let deadline = self.config.limits.max_time.map(|t| Instant::now() + t);
-        engine.set_budget(
-            deadline,
-            cancel.map(|c| c.flag()),
-            self.config.limits.max_propagations,
-            self.config.limits.max_memory,
-        );
+        let deadline = search::arm(&mut engine, &self.config.limits, cancel, &self.obs);
         engine.set_faults(self.faults);
-        engine.set_obs(self.obs.clone());
         let prof = self.obs.profiling();
         if prof && !self.compile_reported {
             self.compile_reported = true;
@@ -444,241 +406,44 @@ impl Solver {
                 return HdpllResult::Unknown;
             }
         }
-        let weights_ref = self.config.learn.map(|_| &weights);
 
-        let structural_index = match self.config.decision {
-            DecisionStrategy::Structural => Some(StructuralIndex::new(
-                &engine,
-                &analysis::levels(&self.netlist),
-            )),
-            DecisionStrategy::Activity => None,
-        };
-
-        // Algorithm 1 main loop.
-        let learning = self.config.learning;
-        // Scheduled restarts pay off only when rebuilding the abandoned
-        // subtree is cheap. Under the activity strategy it is: saved
-        // phases replay the old assignment and clause propagation does
-        // the rest. Under the structural strategy a restart forfeits the
-        // interval narrowing the whole descent paid for and re-derives
-        // it from scratch — measured on itc99_b04 a single restart
-        // quadruples solve time at an unchanged conflict count — so the
-        // scheduled policy applies to the activity strategy only
-        // (level-0 forced restarts are unaffected).
-        let restart_mode = match self.config.decision {
-            DecisionStrategy::Activity => self.config.restarts,
-            DecisionStrategy::Structural => RestartMode::Off,
-        };
-        let db_cfg = self.config.db;
-        let corrupt_deletion = self.faults.corrupt_deletion;
-        let handle_conflict = |engine: &mut Engine,
-                               proof: &mut Option<ProofLog>,
-                               conflict: &crate::engine::ConflictInfo,
-                               acc: &mut PhaseAcc<SEARCH_PHASES>|
-         -> bool {
-            match learning {
-                LearningMode::Hybrid | LearningMode::BoolOnly => {
-                    let bool_only = learning == LearningMode::BoolOnly;
-                    match engine.analyze_mode(conflict, bool_only) {
-                        None => false,
-                        Some(mut a) => {
-                            let used = std::mem::take(&mut a.used);
-                            let hints = a.hints.take();
-                            let cid = engine.learn_and_backtrack(a);
-                            acc.tick(P_ANALYZE);
-                            if let Some(p) = proof.as_mut() {
-                                p.log_engine_clause(engine, cid, Vec::new(), &used, hints);
-                                acc.tick(P_PROOF);
-                            }
-                            // Scheduled restart, then DB housekeeping
-                            // (post-restart the trail is short, so few
-                            // lemmas are locked as reasons).
-                            if engine.should_restart(restart_mode) {
-                                engine.restart();
-                                acc.tick(P_RESTART);
-                            }
-                            if let Some(dropped) = engine.maybe_reduce(&db_cfg) {
-                                if let Some(p) = proof.as_mut() {
-                                    if corrupt_deletion
-                                        == Some(engine.stats.db_reductions - 1)
-                                    {
-                                        p.log_bogus_deletion();
-                                    }
-                                    p.log_deletions(&dropped);
-                                    acc.tick(P_PROOF);
-                                }
-                            }
-                            true
-                        }
-                    }
-                }
-                LearningMode::None => {
-                    engine.stats.conflicts += 1;
-                    // The decision path is refuted before it is popped:
-                    // the path lemmas speak about the stack as it stands.
-                    if let Some(p) = proof.as_mut() {
-                        p.log_path(&engine.decision_stack());
-                        acc.tick(P_PROOF);
-                    }
-                    engine.flip_chronological()
-                }
-            }
-        };
+        // Algorithm 1 with an empty assumption prefix (DESIGN.md §2.3).
         self.obs.profile_enter("search");
         let mut acc = PhaseAcc::<SEARCH_PHASES>::new(prof);
-        let search_start = Instant::now();
-        acc.begin();
-        let mut abort = None;
-        let result = loop {
-            match engine.propagate() {
-                Propagation::Conflict(conflict) => {
-                    acc.tick(P_PROPAGATE);
-                    let live = handle_conflict(&mut engine, &mut proof, &conflict, &mut acc);
-                    acc.tick(P_ANALYZE);
-                    if !live {
-                        break HdpllResult::Unsat;
-                    }
-                    continue;
-                }
-                Propagation::Aborted(reason) => {
-                    acc.tick(P_PROPAGATE);
-                    abort = Some(reason);
-                    break HdpllResult::Unknown;
-                }
-                Propagation::Fixpoint => acc.tick(P_PROPAGATE),
+        let (outcome, search_time) = Search {
+            netlist: &self.netlist,
+            config: &self.config,
+            weights: self.config.learn.map(|_| &weights),
+            assumptions: &[],
+            base: EngineStats::default(),
+            deadline,
+        }
+        .run(&mut engine, &mut proof, &mut acc);
+        self.stats.search_time = search_time;
+        let result = match outcome {
+            Outcome::Sat(values) => HdpllResult::Sat(self.input_model(&values)),
+            Outcome::RootUnsat | Outcome::AssumptionConflict => {
+                // Certification closes the `proof` phase: the profile
+                // books all of a solve's proof work in one row.
+                self.seal_proof(constraint, proof);
+                acc.tick(P_PROOF);
+                HdpllResult::Unsat
             }
-            if let Some(reason) = self.exceeded(&engine, deadline) {
-                abort = Some(reason);
-                break HdpllResult::Unknown;
-            }
-            let decision = match &structural_index {
-                Some(index) => match pick_structural(&engine, index, weights_ref) {
-                    Structural::Decision(var, value) => Some((var, value)),
-                    Structural::Done => None,
-                    Structural::JConflict(conflict) => {
-                        engine.stats.j_conflicts += 1;
-                        acc.tick(P_DECIDE);
-                        let live = handle_conflict(&mut engine, &mut proof, &conflict, &mut acc);
-                        acc.tick(P_ANALYZE);
-                        if !live {
-                            break HdpllResult::Unsat;
-                        }
-                        continue;
-                    }
-                },
-                None => pick_activity(&engine, weights_ref, true),
-            };
-            match decision {
-                Some((var, value)) => {
-                    engine.decide(var, value);
-                    acc.tick(P_DECIDE);
-                }
-                None => {
-                    acc.tick(P_DECIDE);
-                    // All decision variables assigned: arithmetic check of
-                    // the solution box (§2.4).
-                    match final_check(&mut engine) {
-                        FinalOutcome::Sat(values) => {
-                            acc.tick(P_FINAL);
-                            let model = self.input_model(&values);
-                            break HdpllResult::Sat(model);
-                        }
-                        FinalOutcome::Conflict(conflict) => {
-                            acc.tick(P_FINAL);
-                            let live =
-                                handle_conflict(&mut engine, &mut proof, &conflict, &mut acc);
-                            acc.tick(P_ANALYZE);
-                            if !live {
-                                break HdpllResult::Unsat;
-                            }
-                        }
-                        FinalOutcome::Aborted(reason) => {
-                            acc.tick(P_FINAL);
-                            abort = Some(reason);
-                            break HdpllResult::Unknown;
-                        }
-                    }
-                }
+            Outcome::Unknown(reason) => {
+                self.stats.abort = Some(reason);
+                HdpllResult::Unknown
             }
         };
-        self.stats.search_time = search_start.elapsed();
-        if result.is_unsat() {
-            // Certification closes the `proof` phase: the profile books
-            // all of a solve's proof work in one row.
-            self.seal_proof(constraint, proof);
-            acc.tick(P_PROOF);
-        }
         flush_search_phases(&self.obs, &acc);
         self.obs.profile_exit();
         self.finish_stats(&engine);
-        self.stats.abort = abort;
         result
     }
 
     /// Copies the engine counters into [`SolverStats`] and projects them
-    /// into the telemetry registry (counters accumulate and peaks
-    /// max-merge across a supervisor ladder's stages, so both remain
-    /// monotonic over a run).
+    /// into the telemetry registry, charged from engine creation.
     fn finish_stats(&mut self, engine: &Engine) {
-        self.stats.engine = engine.stats;
-        // Final memory sample: in-loop sampling only runs at poll cadence,
-        // so short solves (and per-iteration memory aborts) would
-        // otherwise report a zero peak.
-        self.stats.engine.mem_peak = self.stats.engine.mem_peak.max(engine.approx_mem_bytes());
-        if !self.obs.on() {
-            return;
-        }
-        let s = &self.stats.engine;
-        for (name, v) in [
-            ("decisions", s.decisions),
-            ("propagations", s.propagations),
-            ("narrowings", s.narrowings),
-            ("clause_props", s.clause_props),
-            ("conflicts", s.conflicts),
-            ("learned", s.learned),
-            ("backtracks", s.backtracks),
-            ("restarts", s.restarts),
-            ("restarts_scheduled", s.restarts_scheduled),
-            ("db_reductions", s.db_reductions),
-            ("lemmas_deleted", s.lemmas_deleted),
-            ("fm_calls", s.fm_calls),
-            ("fm_subcalls", s.fm_subcalls),
-            ("j_conflicts", s.j_conflicts),
-            ("probe_hits", s.probe_hits),
-            ("probe_misses", s.probe_misses),
-        ] {
-            self.obs.record_counter(name, v);
-        }
-        for (name, v) in [
-            ("max_cqueue", s.max_cqueue),
-            ("max_clqueue", s.max_clqueue),
-            ("ant_pool_peak", s.ant_pool_peak),
-            ("mem_peak", s.mem_peak),
-        ] {
-            self.obs.record_peak(name, v);
-        }
-    }
-
-    fn exceeded(&self, engine: &Engine, deadline: Option<Instant>) -> Option<AbortReason> {
-        let l = &self.config.limits;
-        if l.max_decisions.is_some_and(|m| engine.stats.decisions >= m) {
-            return Some(AbortReason::Decisions);
-        }
-        if l.max_conflicts.is_some_and(|m| engine.stats.conflicts >= m) {
-            return Some(AbortReason::Conflicts);
-        }
-        if l.max_propagations
-            .is_some_and(|m| engine.stats.propagations >= m)
-        {
-            return Some(AbortReason::Propagations);
-        }
-        if l.max_memory.is_some_and(|m| engine.approx_mem_bytes() > m) {
-            return Some(AbortReason::Memory);
-        }
-        if deadline.is_some_and(|d| Instant::now() >= d) {
-            return Some(AbortReason::Deadline);
-        }
-        None
+        self.stats.engine = search::finish_stats(engine, &EngineStats::default(), &self.obs);
     }
 
     fn input_model(&self, values: &[i64]) -> HashMap<SignalId, i64> {

@@ -1179,6 +1179,84 @@ fn an_interrupted_query_is_followed_by_a_sweep() {
     }
 }
 
+#[test]
+fn session_decision_and_conflict_limits_charge_each_query_alone() {
+    // The search loop charges its decision and conflict limits from the
+    // query's start: after a query that spent both, a one-decision
+    // (one-conflict) budget still lets the next query make a decision
+    // (conflict) of its own before it stops, or answer.
+    let (unroller, n) = b13_frames(8);
+    let bad = |prop| unroller.bad(prop, 7).unwrap();
+    let mut s = Session::with_preproc(&n, sp_proof(), false);
+    let before = s.engine_stats();
+    assert!(s.solve(&[Assumption::yes(bad("p8"))]).result.is_unsat());
+    let spent = search_spend(&before, &s.engine_stats());
+    assert!(spent[0] > 0 && spent[1] > 0, "conflicts, decisions: {spent:?}");
+    for (limits, reason, query) in [
+        (
+            Limits {
+                max_decisions: Some(1),
+                ..Limits::default()
+            },
+            crate::AbortReason::Decisions,
+            Assumption::yes(bad("p2")),
+        ),
+        (
+            Limits {
+                max_conflicts: Some(1),
+                ..Limits::default()
+            },
+            crate::AbortReason::Conflicts,
+            Assumption::no(bad("p8")),
+        ),
+    ] {
+        s.set_limits(limits);
+        let before = s.engine_stats();
+        let got = s.solve(&[query]);
+        let [conflicts, decisions, ..] = search_spend(&before, &s.engine_stats());
+        match got.abort {
+            None => assert!(!matches!(got.result, HdpllResult::Unknown), "{reason:?}"),
+            Some(r) => {
+                assert_eq!(r, reason);
+                let own = match reason {
+                    crate::AbortReason::Decisions => decisions,
+                    _ => conflicts,
+                };
+                assert!(own >= 1, "{reason:?}: stopped before its own first step");
+            }
+        }
+    }
+}
+
+#[test]
+fn each_session_query_records_its_own_counters() {
+    // A query projects the engine counters it spent since its own start
+    // into telemetry, not the session's running totals.
+    use rtl_obs::{ObsConfig, ObsHandle};
+    let (unroller, n) = b13_frames(8);
+    let mut s = Session::with_preproc(&n, sp_proof(), false);
+    for prop in ["p8", "p2"] {
+        let obs = ObsHandle::armed(ObsConfig::default());
+        s.set_obs(obs.clone());
+        let before = s.engine_stats();
+        assert!(s.solve(&[Assumption::yes(unroller.bad(prop, 7).unwrap())]).result.is_unsat());
+        let after = s.engine_stats();
+        assert!(after.conflicts > before.conflicts, "{prop}: the query searched");
+        let snap = obs.snapshot().expect("armed");
+        for (name, want) in [
+            ("decisions", after.decisions - before.decisions),
+            ("propagations", after.propagations - before.propagations),
+            ("narrowings", after.narrowings - before.narrowings),
+            ("clause_props", after.clause_props - before.clause_props),
+            ("conflicts", after.conflicts - before.conflicts),
+            ("learned", after.learned - before.learned),
+        ] {
+            assert_eq!(snap.counter(name), Some(want), "{prop}: {name}");
+        }
+        assert_eq!(snap.peak("max_cqueue"), Some(after.max_cqueue), "{prop}");
+    }
+}
+
 // ---------------------------------------------------------------------
 // Conflict analysis: the trail walk against its quadratic reference
 // ---------------------------------------------------------------------
@@ -1664,7 +1742,7 @@ mod watched_clauses {
                         continue;
                     }
                     let r = lcg(&mut rng);
-                    if r % 13 == 0 && engine.level() > 0 {
+                    if r.is_multiple_of(13) && engine.level() > 0 {
                         engine.restart();
                         continue;
                     }

@@ -323,7 +323,7 @@ mod tests {
         assert!((r.prop_ms - 0.5).abs() < 1e-9, "prop_ms {}", r.prop_ms);
         assert!((r.decide_ms - 0.15).abs() < 1e-9);
         assert!((r.analyze_ms - 0.1).abs() < 1e-9);
-        let md = render_markdown(&[r.clone()]);
+        let md = render_markdown(std::slice::from_ref(&r));
         assert!(md.contains("| Prop time |"));
         assert!(md.contains("| 0.50 ms | 0.15 ms | 0.10 ms |"), "{md}");
         let csv = render_csv(&[r]);
@@ -338,7 +338,7 @@ mod tests {
     #[test]
     fn renders_tables() {
         let r = parse_record(SAMPLE).unwrap();
-        let md = render_markdown(&[r.clone()]);
+        let md = render_markdown(std::slice::from_ref(&r));
         assert!(md.contains("| b01_p1_20 |"));
         assert!(md.contains("proof checked"));
         let csv = render_csv(&[r]);

@@ -108,9 +108,9 @@ fn pigeonhole(pigeons: usize, holes: usize) -> Solver {
     }
     // no two pigeons share a hole
     for h in 0..holes {
-        for i in 0..pigeons {
-            for j in i + 1..pigeons {
-                s.add_clause(&[Lit::neg(p[i][h]), Lit::neg(p[j][h])]);
+        for (i, pi) in p.iter().enumerate() {
+            for pj in &p[i + 1..] {
+                s.add_clause(&[Lit::neg(pi[h]), Lit::neg(pj[h])]);
             }
         }
     }

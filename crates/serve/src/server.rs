@@ -1058,8 +1058,11 @@ mod tests {
             "second identical request must skip compile: {}",
             lines[1]
         );
+        // Each record carries the search counters of its own query.
         for line in &lines[..2] {
             assert!(line.contains("\"verdict\":\"SAT\""), "{line}");
+            assert!(line.contains("\"decisions\":"), "{line}");
+            assert!(line.contains("\"propagations\":"), "{line}");
         }
         assert_eq!(summary.tally.results, 2);
         assert_eq!(summary.tally.errors, 0);

@@ -72,6 +72,35 @@ use rtlsat::obs::{self, ObsConfig, ObsHandle};
 use rtlsat::proof;
 use rtlsat::serve;
 
+/// `print!` through [`write_stdout`].
+macro_rules! out {
+    ($($arg:tt)*) => { write_stdout(format_args!($($arg)*)) };
+}
+
+/// `println!` through [`write_stdout`].
+macro_rules! outln {
+    ($($arg:tt)*) => { write_stdout(format_args!("{}\n", format_args!($($arg)*))) };
+}
+
+/// The one writer of every command's stdout. Unlike `print!`, which
+/// panics once the reader is gone, it stops writing quietly on a closed
+/// pipe (`rtlsat … | head`), so the command still ends with its own
+/// exit status. Any other write error is reported once on stderr.
+fn write_stdout(args: std::fmt::Arguments<'_>) {
+    use std::io::Write;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    static CLOSED: AtomicBool = AtomicBool::new(false);
+    if CLOSED.load(Ordering::Relaxed) {
+        return;
+    }
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        CLOSED.store(true, Ordering::Relaxed);
+        if e.kind() != std::io::ErrorKind::BrokenPipe {
+            eprintln!("cannot write to stdout: {e}");
+        }
+    }
+}
+
 struct Args {
     file: String,
     goal: String,
@@ -341,7 +370,7 @@ fn preprocess_command(rest: &[String]) -> ExitCode {
     eprintln!("c preproc shares         {}", s.shares);
     eprintln!("c preproc ite_collapsed  {}", s.ite_collapsed);
     eprintln!("c preproc coi_dropped    {}", s.coi_dropped);
-    print!("{}", text::to_text(&result.netlist));
+    out!("{}", text::to_text(&result.netlist));
     ExitCode::SUCCESS
 }
 
@@ -415,7 +444,7 @@ fn check_proof_command(rest: &[String]) -> ExitCode {
         let derived = match rtlsat::ir::simplify::bundle_validate(&netlist, &bundle) {
             Ok(d) => d,
             Err(e) => {
-                println!("REJECTED: preproc bundle invalid: {e}");
+                outln!("REJECTED: preproc bundle invalid: {e}");
                 return ExitCode::from(1);
             }
         };
@@ -429,14 +458,15 @@ fn check_proof_command(rest: &[String]) -> ExitCode {
         };
         return match checked {
             Ok(report) => {
-                println!(
+                outln!(
                     "VERIFIED ({} steps, {} search nodes; preproc bundle validated)",
-                    report.steps, report.search_nodes
+                    report.steps,
+                    report.search_nodes
                 );
                 ExitCode::SUCCESS
             }
             Err(e) => {
-                println!("REJECTED: {e}");
+                outln!("REJECTED: {e}");
                 ExitCode::from(1)
             }
         };
@@ -450,14 +480,15 @@ fn check_proof_command(rest: &[String]) -> ExitCode {
     };
     match proof::Checker::check_goal(&netlist, goal, &proof) {
         Ok(report) => {
-            println!(
+            outln!(
                 "VERIFIED ({} steps, {} search nodes)",
-                report.steps, report.search_nodes
+                report.steps,
+                report.search_nodes
             );
             ExitCode::SUCCESS
         }
         Err(e) => {
-            println!("REJECTED: {e}");
+            outln!("REJECTED: {e}");
             ExitCode::from(1)
         }
     }
@@ -479,9 +510,10 @@ fn check_trace_command(rest: &[String]) -> ExitCode {
     };
     match obs::validate_jsonl(&text) {
         Ok(summary) => {
-            println!(
+            outln!(
                 "VALID ({} events, {} dropped)",
-                summary.events, summary.dropped
+                summary.events,
+                summary.dropped
             );
             if summary.dropped > 0 {
                 eprintln!(
@@ -493,13 +525,13 @@ fn check_trace_command(rest: &[String]) -> ExitCode {
             }
             for (kind, count) in obs::TraceSummary::KINDS.iter().zip(summary.by_kind.iter()) {
                 if *count > 0 {
-                    println!("  {kind:<12} {count}");
+                    outln!("  {kind:<12} {count}");
                 }
             }
             ExitCode::SUCCESS
         }
         Err(e) => {
-            println!("INVALID: {e}");
+            outln!("INVALID: {e}");
             ExitCode::from(1)
         }
     }
@@ -536,9 +568,9 @@ fn report_command(rest: &[String]) -> ExitCode {
         return ExitCode::from(2);
     }
     if csv {
-        print!("{}", obs::render_csv(&records));
+        out!("{}", obs::render_csv(&records));
     } else {
-        print!("{}", obs::render_markdown(&records));
+        out!("{}", obs::render_markdown(&records));
     }
     ExitCode::SUCCESS
 }
@@ -618,7 +650,7 @@ fn profile_command(rest: &[String]) -> ExitCode {
         HdpllResult::Unknown => "UNKNOWN",
     };
     match handle.profile_snapshot() {
-        Some(snap) => print!("{}", snap.folded()),
+        Some(snap) => out!("{}", snap.folded()),
         None => eprintln!("c profiler produced no samples"),
     }
     eprintln!("c verdict {verdict} (engine {engine})");
@@ -828,7 +860,7 @@ fn solve_session(
                 inputs.sort();
                 let assigns: Vec<String> =
                     inputs.iter().map(|(n, v)| format!("{n}={v}")).collect();
-                println!("goal {name}: SAT  {}", assigns.join(" "));
+                outln!("goal {name}: SAT  {}", assigns.join(" "));
             }
             HdpllResult::Unsat => {
                 unsats += 1;
@@ -836,7 +868,7 @@ fn solve_session(
                     SessionCert::ProofChecked => "proof checked",
                     _ => "uncertified",
                 };
-                println!("goal {name}: UNSAT ({cert})");
+                outln!("goal {name}: UNSAT ({cert})");
                 if let (Some(path), Some(p)) = (&args.proof_out, &q.certified.proof) {
                     if q.certified.cert == SessionCert::ProofChecked {
                         let out = format!("{path}.{name}");
@@ -852,9 +884,9 @@ fn solve_session(
                 unknowns += 1;
                 if q.fallbacks.iter().any(|f| f.why.contains("rejected")) {
                     cert_failures += 1;
-                    println!("goal {name}: UNKNOWN (certification failure)");
+                    outln!("goal {name}: UNKNOWN (certification failure)");
                 } else {
-                    println!("goal {name}: UNKNOWN (budget exhausted)");
+                    outln!("goal {name}: UNKNOWN (budget exhausted)");
                 }
             }
         }
@@ -897,7 +929,7 @@ fn solve_session(
     if args.stats_json.is_some() {
         eprintln!("c warning: --stats-json covers single-goal solves only; nothing written");
     }
-    println!(
+    outln!(
         "session: {sats} SAT, {unsats} UNSAT, {unknowns} unknown of {} goals",
         goals.len()
     );
@@ -1019,19 +1051,19 @@ fn main() -> ExitCode {
         // The supervisor only ever reports a model it has certified
         // against the reference simulator.
         HdpllResult::Sat(model) => {
-            println!("SAT");
+            outln!("SAT");
             let mut inputs: Vec<(&str, i64)> = model
                 .iter()
                 .filter_map(|(&sig, &v)| netlist.signal(sig).name().map(|n| (n, v)))
                 .collect();
             inputs.sort();
             for (name, value) in inputs {
-                println!("  {name} = {value}");
+                outln!("  {name} = {value}");
             }
             ExitCode::SUCCESS
         }
         HdpllResult::Unsat => {
-            println!("UNSAT");
+            outln!("UNSAT");
             if let Some(path) = &args.proof_out {
                 // Only a *checked* proof is ever written — the
                 // supervisor attaches one exactly when the verdict was
@@ -1074,11 +1106,11 @@ fn main() -> ExitCode {
             ExitCode::from(20)
         }
         HdpllResult::Unknown if result.cert_failures() > 0 => {
-            println!("UNKNOWN (certification failure)");
+            outln!("UNKNOWN (certification failure)");
             ExitCode::from(40)
         }
         HdpllResult::Unknown => {
-            println!("UNKNOWN (budget exhausted)");
+            outln!("UNKNOWN (budget exhausted)");
             ExitCode::from(30)
         }
     }

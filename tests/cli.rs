@@ -497,3 +497,38 @@ fn check_proof_accepts_and_rejects_preproc_bundles() {
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.starts_with("REJECTED"), "{stdout}");
 }
+
+#[test]
+fn closed_stdout_is_not_a_panic() {
+    // `rtlsat … | head` closes the pipe before the output is written:
+    // the command stops writing and ends with its own exit status, not
+    // a panic (exit 101).
+    let dir = std::env::temp_dir().join("rtlsat_cli_closed_stdout");
+    std::fs::create_dir_all(&dir).unwrap();
+    let netlist = write_netlist(&dir);
+    let trace = dir.join("both.trace.jsonl");
+    let out = bin()
+        .arg(&netlist)
+        .arg("both")
+        .args(["--trace", trace.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(20));
+    let netlist = netlist.to_str().unwrap();
+    for (args, code) in [
+        (["check-trace", trace.to_str().unwrap()], 0),
+        ([netlist, "hit"], 0),
+        ([netlist, "both"], 20),
+    ] {
+        let (reader, writer) = std::io::pipe().expect("pipe");
+        drop(reader);
+        let out = bin()
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(code), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
