@@ -7,14 +7,17 @@
 //! ITC'99 rows (raw and simplified netlist, profiled: solve time and
 //! the FM final checks' share of it); the end-to-end benchmark's five
 //! b13 BMC session sweeps (default session rung, preprocessing on;
-//! counters summed per sweep); and `mux_search` 6–12 under each engine
+//! counters summed per sweep, and for each 40-depth sweep the mean
+//! answer time at depths 1–10 against 30–39); and `mux_search` 6–12 under each engine
 //! with proof logging, printing the verdict, the conflict count, an
 //! FNV-1a digest of the proof text and whether a fresh checker accepts
 //! it. Diff two builds' output to see where their searches part.
 //!
 //!     cargo run --release -p rtl-bench --example effort
 
-use rtl_bench::hotpath::{b13_sweep, fnv1a, B13_SWEEPS};
+use std::time::Duration;
+
+use rtl_bench::hotpath::{b13_sweep_timed, fnv1a, B13_SWEEPS};
 use rtl_hdpll::{EngineStats, LearnConfig, ObsConfig, ObsHandle, Solver, SolverConfig};
 use rtl_proof::{format, Checker};
 
@@ -76,13 +79,27 @@ fn main() {
     let rung = SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
     for (prop, depths) in B13_SWEEPS {
         let t = std::time::Instant::now();
-        let (ladder, _) = b13_sweep(prop, depths, vec![("hdpll-sp".to_string(), rung)]);
+        let (ladder, _, times) =
+            b13_sweep_timed(prop, depths, vec![("hdpll-sp".to_string(), rung)]);
         let engine = ladder.stats().map(|s| s.engine).unwrap_or_default();
         println!(
             "b13 {prop} x{depths}: {:.1}ms {}",
             t.elapsed().as_secs_f64() * 1e3,
             counters(&engine)
         );
+        // How an answer's cost grows with the unrolling: flat when an
+        // answer pays for its own frame and search only.
+        if depths >= 40 {
+            let mean_ms = |depths: std::ops::Range<usize>| {
+                let n = depths.len() as f64;
+                times[depths].iter().map(Duration::as_secs_f64).sum::<f64>() * 1e3 / n
+            };
+            let (early, late) = (mean_ms(1..11), mean_ms(30..40));
+            println!(
+                "b13 {prop} per answer: depths 1-10 {early:.3}ms, 30-39 {late:.3}ms, ratio {:.2}",
+                late / early
+            );
+        }
     }
 
     for stages in 6..=12 {

@@ -19,6 +19,8 @@
 //!   under the structural decision strategy, mixing word and Boolean
 //!   propagation the way the paper's experiments do.
 
+use std::time::{Duration, Instant};
+
 use rtl_hdpll::{
     Assumption, HdpllResult, LearnConfig, Session, SessionCert, Solver, SolverConfig, SolverStats,
     SupervisedSession,
@@ -366,22 +368,41 @@ pub fn b13_sweep(
     depths: usize,
     rungs: Vec<(String, SolverConfig)>,
 ) -> (SupervisedSession, Vec<String>) {
+    let (ladder, proofs, _) = b13_sweep_timed(prop, depths, rungs);
+    (ladder, proofs)
+}
+
+/// [`b13_sweep`], also returning the wall time of every answer: its
+/// `extend` (none at depth 0) plus its query.
+///
+/// # Panics
+///
+/// As [`b13_sweep`].
+#[must_use]
+pub fn b13_sweep_timed(
+    prop: &str,
+    depths: usize,
+    rungs: Vec<(String, SolverConfig)>,
+) -> (SupervisedSession, Vec<String>, Vec<Duration>) {
     let mut unroller = rtl_itc99::b13().unroller();
     let mut base = unroller.base_netlist();
     unroller.push_frame(&mut base).expect("b13 unrolls");
     let mut ladder = SupervisedSession::with_rungs(&base, rungs).with_preproc(true);
     let mut proofs = Vec::with_capacity(depths);
+    let mut times = Vec::with_capacity(depths);
     for depth in 0..depths {
+        let start = Instant::now();
         if depth > 0 {
             ladder.extend(|n| unroller.push_frame(n).expect("b13 unrolls"));
         }
         let bad = unroller.bad(prop, depth).expect("property exists");
         let q = ladder.solve(&[Assumption::yes(bad)]);
+        times.push(start.elapsed());
         assert_eq!(q.certified.cert, SessionCert::ProofChecked, "b13 {prop}@{depth}");
         let proof = q.certified.proof.as_ref().expect("checked implies proof");
         proofs.push(rtl_proof::format::print(proof));
     }
-    (ladder, proofs)
+    (ladder, proofs, times)
 }
 
 /// FNV-1a (64-bit), the digest certificate comparisons use.

@@ -9,7 +9,7 @@
 //! variables").
 
 use rtl_interval::{Interval, Tribool};
-use rtl_ir::{analysis, CmpOp, Netlist, Op, SignalType};
+use rtl_ir::{CmpOp, Netlist, Op, SignalType};
 
 use crate::types::{Dom, Span, VarId};
 
@@ -90,6 +90,8 @@ pub(crate) struct Compiled {
     /// `signal index → variable id`; identity for a single-segment
     /// compile. Its length is the number of netlist signals consumed.
     pub sig_var: Vec<VarId>,
+    /// Number of netlist outputs consumed (their fanout is seeded).
+    outputs_consumed: usize,
 }
 
 impl Compiled {
@@ -204,6 +206,7 @@ impl Compiled {
             decision_vars: Vec::new(),
             fanout_seed: Vec::new(),
             sig_var: Vec::new(),
+            outputs_consumed: 0,
         }
     }
 
@@ -262,15 +265,30 @@ impl Compiled {
             }
         }
 
-        // Fanout-seeded activities (paper §2.4) for the new variables.
-        // Counts come from the extended netlist, so a new segment's
-        // signals see their full fanout; already-seeded variables keep
-        // their original seed (the engine owns live activity by now).
-        let fanouts = analysis::fanout_counts(netlist);
-        self.fanout_seed.resize(self.init_dom.len(), 0.0);
+        // Fanout-seeded activities (paper §2.4) for the new variables:
+        // the [`rtl_ir::analysis::fanout_counts`] of the extended
+        // netlist, counted over the segment alone. Earlier signals
+        // cannot reference later ones, and an output naming a segment
+        // signal was declared after the last extension, so the
+        // segment's operand references and the new outputs are all
+        // that land on it. Already-seeded variables keep their original
+        // seed (the engine owns live activity by now).
+        let mut fanouts = vec![0u32; netlist.len() - from];
+        let mut count = |sig: rtl_ir::SignalId| {
+            if let Some(i) = sig.index().checked_sub(from) {
+                fanouts[i] += 1;
+            }
+        };
         for id in netlist.signal_ids().skip(from) {
-            self.fanout_seed[self.sig_var[id.index()].index()] =
-                f64::from(fanouts[id.index()]);
+            netlist.op(id).operands().for_each(&mut count);
+        }
+        for &(id, _) in &netlist.outputs()[self.outputs_consumed..] {
+            count(id);
+        }
+        self.outputs_consumed = netlist.outputs().len();
+        self.fanout_seed.resize(self.init_dom.len(), 0.0);
+        for (i, &f) in fanouts.iter().enumerate() {
+            self.fanout_seed[self.sig_var[from + i].index()] = f64::from(f);
         }
     }
 }

@@ -24,8 +24,9 @@
 //! covers the remaining races.)
 
 use rtl_interval::{Interval, Tribool};
+use rtl_ir::{analysis, Netlist};
 
-use crate::compile::CKind;
+use crate::compile::{CKind, Compiled};
 use crate::decide::{pick_activity, LearnWeights};
 use crate::engine::{ConflictInfo, Engine, Falsified};
 use crate::types::{Dom, VarId};
@@ -40,20 +41,84 @@ pub(crate) enum Structural {
     JConflict(ConflictInfo),
 }
 
-/// Per-constraint static info for the structural strategy, precomputed once.
-#[derive(Clone, Debug)]
+/// Static info for the structural strategy, grown with the compiled
+/// problem ([`StructuralIndex::grow`]): what it holds of a netlist
+/// segment never changes once the segment is compiled, so a session
+/// indexes each segment once.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct StructuralIndex {
-    /// Constraint ids that can ever be frontier members (Boolean gates and
-    /// muxes), in reverse topological order (closest to outputs first).
+    /// Constraint ids that can ever be frontier members (Boolean gates
+    /// and muxes), in compile (topological) order; [`pick_structural`]
+    /// scans them newest first, closest to the outputs.
     candidates: Vec<u32>,
-    /// Per-variable fanout+level score for input choice.
-    input_score: Vec<f64>,
+    /// Per-variable input-choice key ([`input_key`]).
+    input_key: Vec<u64>,
+    /// Per-signal level ([`rtl_ir::analysis::levels`]) of the netlist
+    /// indexed so far.
+    levels: Vec<u32>,
+    /// Constraints indexed so far.
+    cons_indexed: usize,
 }
 
 impl StructuralIndex {
-    pub fn new(engine: &Engine, levels: &[u32]) -> Self {
-        let mut candidates: Vec<u32> = engine
-            .compiled
+    /// Indexes `compiled`, the compilation of `netlist`.
+    pub fn new(compiled: &Compiled, netlist: &Netlist) -> Self {
+        let mut index = StructuralIndex::default();
+        index.grow(compiled, netlist);
+        index
+    }
+
+    /// Indexes what `compiled` gained since the last call, `netlist`
+    /// being the netlist it now compiles: the new signals' levels and
+    /// input keys, and the new constraints' candidates.
+    pub fn grow(&mut self, compiled: &Compiled, netlist: &Netlist) {
+        let from = self.levels.len();
+        analysis::extend_levels(netlist, &mut self.levels);
+        // Auxiliary variables are never gate inputs; they key as a
+        // level-0 signal without fanout.
+        self.input_key.resize(compiled.init_dom.len(), input_key(0.0, 0));
+        for (sig, &level) in self.levels.iter().enumerate().skip(from) {
+            let var = compiled.sig_var[sig].index();
+            self.input_key[var] = input_key(compiled.fanout_seed[var], level);
+        }
+        self.candidates.extend(
+            (self.cons_indexed..compiled.cons.len())
+                .filter(|&ci| {
+                    matches!(
+                        compiled.cons[ci].kind,
+                        CKind::And { .. } | CKind::Or { .. } | CKind::Xor { .. } | CKind::Ite { .. }
+                    )
+                })
+                .map(|ci| ci as u32),
+        );
+        self.cons_indexed = compiled.cons.len();
+    }
+}
+
+/// The input-choice order: high fanout first, then proximity to the
+/// primary inputs (lower level), the paper's "fanout-count and distance
+/// from the inputs". A key that compares as the pair needs no global
+/// maximum level, so it stays valid as the netlist deepens. `fanout` is
+/// a compile-time seed, a whole count.
+fn input_key(fanout: f64, level: u32) -> u64 {
+    ((fanout as u64) << 32) | u64::from(u32::MAX - level)
+}
+
+#[cfg(test)]
+impl StructuralIndex {
+    /// Panics unless this index equals the one built from scratch over
+    /// the whole of `compiled` and `netlist`, the way every query built
+    /// it before the index grew with the problem: every gate and mux
+    /// constraint, reversed, and an f64 score `fanout·M + (M − level)`
+    /// per variable, `M` one above the maximum level. The scan order
+    /// must be the same, and the keys must order (ties included) as
+    /// those scores do, so `max_by_key` picks what `max_by` picked.
+    pub(crate) fn assert_matches_from_scratch(&self, compiled: &Compiled, netlist: &Netlist) {
+        let mut var_levels = vec![0u32; compiled.init_dom.len()];
+        for (sig, &lvl) in analysis::levels(netlist).iter().enumerate() {
+            var_levels[compiled.sig_var[sig].index()] = lvl;
+        }
+        let mut candidates: Vec<u32> = compiled
             .cons
             .iter()
             .enumerate()
@@ -66,22 +131,32 @@ impl StructuralIndex {
             .map(|(i, _)| i as u32)
             .collect();
         candidates.reverse();
-        // Favor high fanout, then proximity to the primary inputs (lower
-        // level) — the paper's "fanout-count and distance from the inputs".
-        let max_level = f64::from(levels.iter().copied().max().unwrap_or(0) + 1);
-        let input_score = engine
-            .compiled
+        let max_level = f64::from(var_levels.iter().copied().max().unwrap_or(0) + 1);
+        let score: Vec<f64> = compiled
             .fanout_seed
             .iter()
-            .enumerate()
-            .map(|(i, &f)| {
-                let lvl = levels.get(i).copied().unwrap_or(0);
-                f * max_level + (max_level - f64::from(lvl))
-            })
+            .zip(&var_levels)
+            .map(|(&f, &lvl)| f * max_level + (max_level - f64::from(lvl)))
             .collect();
-        StructuralIndex {
-            candidates,
-            input_score,
+
+        let scan: Vec<u32> = self.candidates.iter().rev().copied().collect();
+        assert_eq!(scan, candidates, "candidates in scan order");
+        assert_eq!(self.input_key.len(), score.len(), "one key per variable");
+        // Along the key order, each step must compare the scores as it
+        // compares the keys: then both order every pair alike.
+        let mut order: Vec<usize> = (0..score.len()).collect();
+        order.sort_by_key(|&v| self.input_key[v]);
+        for pair in order.windows(2) {
+            let (a, b) = (pair[0], pair[1]);
+            assert_eq!(
+                self.input_key[a].cmp(&self.input_key[b]),
+                score[a].total_cmp(&score[b]),
+                "variables {a} and {b}: keys {} and {}, scores {} and {}",
+                self.input_key[a],
+                self.input_key[b],
+                score[a],
+                score[b]
+            );
         }
     }
 }
@@ -92,7 +167,7 @@ pub(crate) fn pick_structural(
     index: &StructuralIndex,
     weights: Option<&LearnWeights>,
 ) -> Structural {
-    for &ci in &index.candidates {
+    for &ci in index.candidates.iter().rev() {
         let kind = &engine.compiled.cons[ci as usize].kind;
         match kind {
             CKind::And { out, ins } | CKind::Or { out, ins } => {
@@ -118,10 +193,7 @@ pub(crate) fn pick_structural(
                     .iter()
                     .copied()
                     .filter(|&i| !engine.dom(i).is_fixed())
-                    .max_by(|&a, &b| {
-                        index.input_score[a.index()]
-                            .total_cmp(&index.input_score[b.index()])
-                    });
+                    .max_by_key(|&i| index.input_key[i.index()]);
                 match pick {
                     Some(input) => return Structural::Decision(input, controlling),
                     None => {

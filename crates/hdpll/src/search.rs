@@ -6,7 +6,6 @@
 
 use std::time::{Duration, Instant};
 
-use rtl_ir::{analysis, Netlist};
 use rtl_obs::{ObsHandle, PhaseAcc};
 
 use crate::decide::{pick_activity, LearnWeights};
@@ -82,10 +81,10 @@ pub(crate) fn arm(
 
 /// One run of the loop.
 pub(crate) struct Search<'a> {
-    /// The netlist the engine solves (its levels seed the structural
-    /// decision index).
-    pub netlist: &'a Netlist,
     pub config: &'a SolverConfig,
+    /// The structural decision index over the engine's problem,
+    /// present exactly under [`DecisionStrategy::Structural`].
+    pub index: Option<&'a StructuralIndex>,
     /// Predicate-learning decision weights, when the pass ran.
     pub weights: Option<&'a LearnWeights>,
     /// The assumption prefix: entry `i` is pinned at level `i + 1`.
@@ -111,10 +110,10 @@ impl Search<'_> {
             self.config.learning != LearningMode::None || self.assumptions.is_empty(),
             "learning-free search runs without assumptions"
         );
-        let index = match self.config.decision {
-            DecisionStrategy::Structural => Some(self.structural_index(engine)),
-            DecisionStrategy::Activity => None,
-        };
+        debug_assert_eq!(
+            self.index.is_some(),
+            self.config.decision == DecisionStrategy::Structural
+        );
         let start = Instant::now();
         acc.begin();
         let outcome = loop {
@@ -151,7 +150,7 @@ impl Search<'_> {
                 acc.tick(P_DECIDE);
                 continue;
             }
-            let decision = match &index {
+            let decision = match self.index {
                 Some(index) => match pick_structural(engine, index, self.weights) {
                     Structural::Decision(var, value) => Some((var, value)),
                     Structural::Done => None,
@@ -187,18 +186,6 @@ impl Search<'_> {
             }
         };
         (outcome, start.elapsed())
-    }
-
-    /// [`StructuralIndex`] scores by topological level indexed by
-    /// *variable*, so the signal levels are translated through the
-    /// (segment-wise) allocation map — the identity for a netlist
-    /// compiled in one piece.
-    fn structural_index(&self, engine: &Engine) -> StructuralIndex {
-        let mut var_levels = vec![0u32; engine.doms.len()];
-        for (sig, &lvl) in analysis::levels(self.netlist).iter().enumerate() {
-            var_levels[engine.compiled.sig_var[sig].index()] = lvl;
-        }
-        StructuralIndex::new(engine, &var_levels)
     }
 
     /// Learns from `conflict` and backjumps (learning-free: flips the

@@ -56,12 +56,13 @@ use rtl_proof::{CheckReport, Checker, Proof};
 use crate::compile::compile;
 use crate::decide::LearnWeights;
 use crate::engine::{Engine, Propagation};
+use crate::justify::StructuralIndex;
 use crate::predlearn;
 use crate::prooflog::ProofLog;
 use crate::search::{self, flush_search_phases, Outcome, Search, SEARCH_PHASES};
 use crate::solver::{HdpllResult, LearningMode, Limits, SolverConfig, SolverStats};
 use crate::supervise::{CancelToken, FaultPlan};
-use crate::types::{AbortReason, VarId};
+use crate::types::{AbortReason, DecisionStrategy, VarId};
 
 /// One assumption of an incremental query: `signal = value`, pinned
 /// for the duration of a single [`Session::solve`] call.
@@ -133,6 +134,9 @@ pub struct Session {
     /// *original* inputs so certification stays against [`Self::netlist`].
     pre: Option<Simplifier>,
     engine: Engine,
+    /// The structural decision index, grown with the engine's problem
+    /// (`None` under the activity strategy).
+    index: Option<StructuralIndex>,
     config: SolverConfig,
     proof: Option<ProofLog>,
     /// The persistent certifier (see the module docs): `None` with
@@ -188,6 +192,8 @@ impl Session {
         let solved = pre.as_ref().map_or(netlist, Simplifier::netlist);
         let compile_start = Instant::now();
         let compiled = Arc::new(compile(solved));
+        let index = (config.decision == DecisionStrategy::Structural)
+            .then(|| StructuralIndex::new(&compiled, solved));
         let compile_ns = u64::try_from(compile_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let engine = Engine::new(compiled);
         let num_vars = engine.doms.len();
@@ -204,6 +210,7 @@ impl Session {
             netlist: netlist.clone(),
             pre,
             engine,
+            index,
             config,
             proof,
             certifier,
@@ -345,6 +352,9 @@ impl Session {
         // so this extends in place without a deep copy.
         Arc::make_mut(&mut self.engine.compiled).extend(solved);
         debug_assert_eq!(self.engine.compiled.signals_consumed(), solved.len());
+        if let Some(index) = &mut self.index {
+            index.grow(&self.engine.compiled, solved);
+        }
         self.engine.grow();
         let num_vars = self.engine.doms.len();
         self.weights.grow(num_vars);
@@ -477,8 +487,8 @@ impl Session {
         let mut acc = PhaseAcc::<SEARCH_PHASES>::new(self.obs.profiling());
         self.obs.profile_enter("search");
         let (outcome, search_time) = Search {
-            netlist: self.pre.as_ref().map_or(&self.netlist, Simplifier::netlist),
             config: &config,
+            index: self.index.as_ref(),
             weights: self.config.learn.map(|_| &self.weights),
             assumptions: &asm,
             base,
@@ -625,6 +635,15 @@ impl Session {
     /// the end of each query).
     pub(crate) fn engine_stats(&self) -> crate::EngineStats {
         self.engine.stats
+    }
+
+    /// Panics unless the grown structural index equals one built from
+    /// scratch over the engine's whole problem.
+    pub(crate) fn assert_index_matches_from_scratch(&self) {
+        self.index
+            .as_ref()
+            .expect("a structural session")
+            .assert_matches_from_scratch(&self.engine.compiled, self.proof_netlist());
     }
 }
 
@@ -806,9 +825,11 @@ impl SupervisedSession {
         let netlist = &self.netlist;
         if let Some(session) = &mut self.session {
             // Catching up the live session to the master is a pure
-            // extension: the master only grew.
+            // extension: the session's netlist is a prefix of the
+            // master (it was built from the master and has grown in
+            // step with it), so only the new suffix is copied.
             let ok = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.extend(|n| n.clone_from(netlist));
+                session.extend(|n| n.append_suffix(netlist));
             }))
             .is_ok();
             if !ok {

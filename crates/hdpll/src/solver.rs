@@ -10,6 +10,7 @@ use rtl_ir::{eval, Netlist, SignalId};
 use crate::compile::{compile, Compiled};
 use crate::decide::LearnWeights;
 use crate::engine::{Engine, EngineStats, Propagation};
+use crate::justify::StructuralIndex;
 use crate::predlearn::{self, LearnConfig, LearnReport};
 use crate::prooflog::ProofLog;
 use crate::search::{self, flush_search_phases, Outcome, Search, P_PROOF, SEARCH_PHASES};
@@ -409,10 +410,12 @@ impl Solver {
 
         // Algorithm 1 with an empty assumption prefix (DESIGN.md §2.3).
         self.obs.profile_enter("search");
+        let index = (self.config.decision == DecisionStrategy::Structural)
+            .then(|| StructuralIndex::new(&self.compiled, &self.netlist));
         let mut acc = PhaseAcc::<SEARCH_PHASES>::new(prof);
         let (outcome, search_time) = Search {
-            netlist: &self.netlist,
             config: &self.config,
+            index: index.as_ref(),
             weights: self.config.learn.map(|_| &weights),
             assumptions: &[],
             base: EngineStats::default(),

@@ -477,12 +477,40 @@ fn step_strategy() -> impl Strategy<Value = Step> {
 
 fn build_random(steps: &[Step], goal_const: i64) -> (Netlist, SignalId) {
     let mut n = Netlist::new("random");
-    let mut words = vec![
-        n.input_word("w0", 4).unwrap(),
-        n.input_word("w1", 4).unwrap(),
-    ];
-    let mut bools = vec![n.input_bool("b0").unwrap()];
+    let mut sigs = RandomSignals::seed(&mut n);
     for step in steps {
+        sigs.apply(&mut n, step);
+    }
+    let last_w = *sigs.words.last().unwrap();
+    let max = n.ty(last_w).max_value();
+    let target = n.eq_const(last_w, goal_const.min(max)).unwrap();
+    let last_b = *sigs.bools.last().unwrap();
+    let goal = n.and(&[target, last_b]).unwrap();
+    (n, goal)
+}
+
+/// The word and Boolean signals a random netlist has built so far:
+/// each [`Step`] picks its operands among them (indices mod length)
+/// and appends its result, so a netlist can keep growing step by step.
+struct RandomSignals {
+    words: Vec<SignalId>,
+    bools: Vec<SignalId>,
+}
+
+impl RandomSignals {
+    /// Adds the seed inputs `w0`, `w1` (4-bit) and `b0` to `n`.
+    fn seed(n: &mut Netlist) -> Self {
+        RandomSignals {
+            words: vec![
+                n.input_word("w0", 4).unwrap(),
+                n.input_word("w1", 4).unwrap(),
+            ],
+            bools: vec![n.input_bool("b0").unwrap()],
+        }
+    }
+
+    fn apply(&mut self, n: &mut Netlist, step: &Step) {
+        let (words, bools) = (&mut self.words, &mut self.bools);
         let w = |i: &usize| words[i % words.len()];
         let b = |i: &usize| bools[i % bools.len()];
         match step {
@@ -510,12 +538,6 @@ fn build_random(steps: &[Step], goal_const: i64) -> (Netlist, SignalId) {
             Step::Xor(a, c) => bools.push(n.xor(b(a), b(c)).unwrap()),
         }
     }
-    let last_w = *words.last().unwrap();
-    let max = n.ty(last_w).max_value();
-    let target = n.eq_const(last_w, goal_const.min(max)).unwrap();
-    let last_b = *bools.last().unwrap();
-    let goal = n.and(&[target, last_b]).unwrap();
-    (n, goal)
 }
 
 proptest! {
@@ -2015,5 +2037,139 @@ mod watched_clauses {
         fixpoint(&mut e);
         assert_eq!(*e.dom(wv), word(8, 11));
         assert_eq!(e.trail.last().unwrap().reason, Reason::Clause(kept));
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Session growth pays for the new segment only: the structures an extend
+// grows, against what a pass over the whole netlist builds
+// ---------------------------------------------------------------------------
+
+mod grown_structures {
+    use proptest::prelude::*;
+    use rtl_ir::{analysis, Netlist};
+
+    use super::analysis_walk::{lcg, random_steps};
+    use super::{step_strategy, RandomSignals};
+    use crate::compile::Compiled;
+    use crate::session::{Assumption, Session, SessionCert};
+    use crate::{LearnConfig, SolverConfig};
+
+    /// After every extend of the end-to-end benchmark's five b13 BMC
+    /// sweeps (one extend plus one query per depth, preprocessing on,
+    /// the default session rung), the grown structural index equals the
+    /// from-scratch one.
+    #[test]
+    fn grown_index_matches_from_scratch_on_b13_sweeps() {
+        let config = SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
+        for (prop, depths) in [("p1", 40), ("p2", 40), ("p3", 40), ("p5", 40), ("p8", 15)] {
+            let mut unroller = rtl_itc99::b13().unroller();
+            let mut base = unroller.base_netlist();
+            unroller.push_frame(&mut base).unwrap();
+            let mut session = Session::new(&base, config);
+            session.assert_index_matches_from_scratch();
+            for depth in 0..depths {
+                if depth > 0 {
+                    session.extend(|n| unroller.push_frame(n).unwrap());
+                    session.assert_index_matches_from_scratch();
+                }
+                let bad = unroller.bad(prop, depth).unwrap();
+                let c = session.solve(&[Assumption::yes(bad)]);
+                assert_eq!(c.cert, SessionCert::ProofChecked, "b13 {prop}@{depth}");
+            }
+        }
+    }
+
+    /// The same on random sessions: random segments (new inputs, random
+    /// operators, outputs on old and new signals) interleaved with
+    /// random assumption queries, preprocessing on and off, under both
+    /// structural rungs.
+    #[test]
+    fn grown_index_matches_from_scratch_on_random_sessions() {
+        let configs = [
+            SolverConfig::structural(),
+            SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true),
+        ];
+        for seed in 1..=24u64 {
+            let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            let config = configs[(seed % 2) as usize];
+            let preproc = seed % 3 != 0;
+            let mut n = Netlist::new("grow");
+            let mut sigs = RandomSignals::seed(&mut n);
+            for step in random_steps(&mut rng, 6) {
+                sigs.apply(&mut n, &step);
+            }
+            let mut session = Session::with_preproc(&n, config, preproc);
+            session.assert_index_matches_from_scratch();
+            for round in 0..6 {
+                let len = (lcg(&mut rng) % 8) as usize;
+                let steps = random_steps(&mut rng, len);
+                session.extend(|n| {
+                    let fresh = n.input_word(&format!("x{round}"), 4).unwrap();
+                    sigs.words.push(fresh);
+                    for step in &steps {
+                        sigs.apply(n, step);
+                    }
+                    let pick = sigs.bools[lcg(&mut rng) as usize % sigs.bools.len()];
+                    n.set_output(pick, format!("o{round}")).unwrap();
+                });
+                session.assert_index_matches_from_scratch();
+                let asm: Vec<Assumption> = (0..lcg(&mut rng) % 3)
+                    .map(|_| {
+                        let sig = sigs.bools[lcg(&mut rng) as usize % sigs.bools.len()];
+                        Assumption {
+                            signal: sig,
+                            value: lcg(&mut rng).is_multiple_of(2),
+                        }
+                    })
+                    .collect();
+                let c = session.solve(&asm);
+                if config.proof && c.result.is_unsat() {
+                    assert_eq!(c.cert, SessionCert::ProofChecked, "seed {seed} round {round}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A compile grown over random split points seeds each new
+        /// segment's variables with the fanout a count over the whole
+        /// netlist gives, outputs declared between segments included.
+        #[test]
+        fn segment_fanout_seeds_match_a_full_count(
+            steps in proptest::collection::vec(step_strategy(), 1..40),
+            cuts in proptest::collection::vec(any::<usize>(), 0..5),
+            outs in proptest::collection::vec(any::<usize>(), 0..6),
+        ) {
+            let mut n = Netlist::new("grow");
+            let mut sigs = RandomSignals::seed(&mut n);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (steps.len() + 1)).collect();
+            cuts.sort_unstable();
+            cuts.push(steps.len());
+            let mut compiled = Compiled::empty();
+            let mut done = 0;
+            for (k, &cut) in cuts.iter().enumerate() {
+                for step in &steps[done..cut] {
+                    sigs.apply(&mut n, step);
+                }
+                done = cut;
+                if let Some(&o) = outs.get(k) {
+                    let sig = n.signal_ids().nth(o % n.len()).unwrap();
+                    n.set_output(sig, format!("o{k}")).unwrap();
+                }
+                let from = compiled.signals_consumed();
+                compiled.extend(&n);
+                let full = analysis::fanout_counts(&n);
+                for sig in n.signal_ids().skip(from) {
+                    prop_assert_eq!(
+                        compiled.fanout_seed[compiled.var_of(sig).index()],
+                        f64::from(full[sig.index()]),
+                        "segment {} signal {}", k, sig
+                    );
+                }
+            }
+        }
     }
 }

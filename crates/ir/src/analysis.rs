@@ -24,17 +24,24 @@ use crate::types::SignalId;
 /// `1 + max(level of operands)`. Indexed by dense signal index.
 #[must_use]
 pub fn levels(netlist: &Netlist) -> Vec<u32> {
-    let mut levels = vec![0u32; netlist.len()];
-    for id in netlist.signal_ids() {
+    let mut levels = Vec::with_capacity(netlist.len());
+    extend_levels(netlist, &mut levels);
+    levels
+}
+
+/// Extends `levels`, the [`levels`] of a prefix of `netlist`, to all of
+/// `netlist`. A signal's level depends on its operands alone, so as a
+/// netlist grows append-only only the new signals are visited.
+pub fn extend_levels(netlist: &Netlist, levels: &mut Vec<u32>) {
+    for id in netlist.signal_ids().skip(levels.len()) {
         let lvl = netlist
             .op(id)
             .operands()
             .map(|o| levels[o.index()] + 1)
             .max()
             .unwrap_or(0);
-        levels[id.index()] = lvl;
+        levels.push(lvl);
     }
-    levels
 }
 
 /// Per-signal fanout count (number of operator references to the signal;

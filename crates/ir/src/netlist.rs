@@ -188,6 +188,28 @@ impl Netlist {
         Ok(())
     }
 
+    /// Catches this netlist up with `master`, of which it must be a
+    /// prefix (`master` grew append-only from a copy of it): appends
+    /// the signals beyond [`Netlist::len`], with their names, then the
+    /// outputs beyond [`Netlist::outputs`]. Its cost is the suffix's
+    /// size, not the master's.
+    pub fn append_suffix(&mut self, master: &Netlist) {
+        debug_assert!(
+            self.signals.len() <= master.signals.len()
+                && self.outputs.len() <= master.outputs.len(),
+            "append_suffix: not a prefix of the master"
+        );
+        for sig in &master.signals[self.signals.len()..] {
+            let id = SignalId(u32::try_from(self.signals.len()).expect("netlist too large"));
+            if let Some(name) = &sig.name {
+                self.names.insert(name.clone(), id);
+            }
+            self.signals.push(sig.clone());
+        }
+        self.outputs
+            .extend_from_slice(&master.outputs[self.outputs.len()..]);
+    }
+
     pub(crate) fn push(&mut self, ty: SignalType, op: Op) -> SignalId {
         let id = SignalId(u32::try_from(self.signals.len()).expect("netlist too large"));
         self.signals.push(Signal { ty, op, name: None });

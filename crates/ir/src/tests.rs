@@ -226,33 +226,39 @@ fn build_random(steps: &[Step]) -> Netlist {
     ];
     let mut bools = vec![n.input_bool("b0").unwrap()];
     for step in steps {
-        let w = |i: &usize| words[i % words.len()];
-        let b = |i: &usize| bools[i % bools.len()];
-        match step {
-            Step::Add(a, c) => words.push(n.add(w(a), w(c)).unwrap()),
-            Step::Sub(a, c) => words.push(n.sub(w(a), w(c)).unwrap()),
-            Step::MulConst(a, k) => words.push(n.mul_const(w(a), *k).unwrap()),
-            Step::Ite(s, a, c) => {
-                let (wa, wc) = (w(a), w(c));
-                if n.ty(wa).width() == n.ty(wc).width() {
-                    words.push(n.ite(b(s), wa, wc).unwrap());
-                }
-            }
-            Step::Cmp(op, a, c) => bools.push(n.cmp(*op, w(a), w(c)).unwrap()),
-            Step::Min(a, c) => words.push(n.min(w(a), w(c)).unwrap()),
-            Step::Max(a, c) => words.push(n.max(w(a), w(c)).unwrap()),
-            Step::Shr(a, k) => words.push(n.shr(w(a), *k).unwrap()),
-            Step::Not(a) => bools.push(n.not(b(a)).unwrap()),
-            Step::And(a, c) => bools.push(n.and(&[b(a), b(c)]).unwrap()),
-            Step::Or(a, c) => bools.push(n.or(&[b(a), b(c)]).unwrap()),
-            Step::Xor(a, c) => bools.push(n.xor(b(a), b(c)).unwrap()),
-        }
+        apply_step(&mut n, &mut words, &mut bools, step);
     }
     let last_w = *words.last().unwrap();
     let last_b = *bools.last().unwrap();
     n.set_output(last_w, "wout").unwrap();
     n.set_output(last_b, "bout").unwrap();
     n
+}
+
+/// Appends one recipe step's operator to `n`, its operands picked among
+/// (and its result pushed onto) `words` or `bools`.
+fn apply_step(n: &mut Netlist, words: &mut Vec<SignalId>, bools: &mut Vec<SignalId>, step: &Step) {
+    let w = |i: &usize| words[i % words.len()];
+    let b = |i: &usize| bools[i % bools.len()];
+    match step {
+        Step::Add(a, c) => words.push(n.add(w(a), w(c)).unwrap()),
+        Step::Sub(a, c) => words.push(n.sub(w(a), w(c)).unwrap()),
+        Step::MulConst(a, k) => words.push(n.mul_const(w(a), *k).unwrap()),
+        Step::Ite(s, a, c) => {
+            let (wa, wc) = (w(a), w(c));
+            if n.ty(wa).width() == n.ty(wc).width() {
+                words.push(n.ite(b(s), wa, wc).unwrap());
+            }
+        }
+        Step::Cmp(op, a, c) => bools.push(n.cmp(*op, w(a), w(c)).unwrap()),
+        Step::Min(a, c) => words.push(n.min(w(a), w(c)).unwrap()),
+        Step::Max(a, c) => words.push(n.max(w(a), w(c)).unwrap()),
+        Step::Shr(a, k) => words.push(n.shr(w(a), *k).unwrap()),
+        Step::Not(a) => bools.push(n.not(b(a)).unwrap()),
+        Step::And(a, c) => bools.push(n.and(&[b(a), b(c)]).unwrap()),
+        Step::Or(a, c) => bools.push(n.or(&[b(a), b(c)]).unwrap()),
+        Step::Xor(a, c) => bools.push(n.xor(b(a), b(c)).unwrap()),
+    }
 }
 
 proptest! {
@@ -324,6 +330,65 @@ proptest! {
                 let changed = eval::eval_inputs(&n, &iv).unwrap();
                 prop_assert_eq!(base[out], changed[out]);
             }
+        }
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Suffix append: catching a copy up with an append-only master
+// ---------------------------------------------------------------------------
+
+/// `a` and `b` agree on everything a netlist exposes: each signal's type,
+/// operator and name, `find` for every name, and the outputs.
+fn assert_same_netlist(a: &Netlist, b: &Netlist) {
+    assert_eq!(a.name(), b.name());
+    assert_eq!(a.len(), b.len());
+    for id in a.signal_ids() {
+        assert_eq!(a.signal(id), b.signal(id), "signal {id}");
+        if let Some(name) = a.signal(id).name() {
+            assert_eq!(a.find(name), Some(id), "find({name}) in the first");
+            assert_eq!(b.find(name), Some(id), "find({name}) in the second");
+        }
+    }
+    assert_eq!(a.outputs(), b.outputs());
+}
+
+proptest! {
+    /// A copy taken at the first cut and caught up with `append_suffix`
+    /// at every later one equals a fresh `clone()` of the master. Each
+    /// stretch of growth adds a named input, random operators, a name
+    /// on its newest signal, and an output on an old or new signal.
+    #[test]
+    fn append_suffix_matches_clone(
+        steps in proptest::collection::vec(step_strategy(), 1..40),
+        cuts in proptest::collection::vec(any::<usize>(), 0..6),
+        picks in proptest::collection::vec(any::<usize>(), 7),
+    ) {
+        let mut master = Netlist::new("grow");
+        let mut words = vec![master.input_word("w0", 4).unwrap()];
+        let mut bools = vec![master.input_bool("b0").unwrap()];
+        let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (steps.len() + 1)).collect();
+        cuts.sort_unstable();
+        cuts.push(steps.len());
+        let mut copy: Option<Netlist> = None;
+        let mut done = 0;
+        for (k, &cut) in cuts.iter().enumerate() {
+            words.push(master.input_word(&format!("in{k}"), 4).unwrap());
+            for step in &steps[done..cut] {
+                apply_step(&mut master, &mut words, &mut bools, step);
+            }
+            done = cut;
+            let newest = master.signal_ids().last().unwrap();
+            if master.signal(newest).name().is_none() {
+                master.set_name(newest, format!("s{k}")).unwrap();
+            }
+            let out = master.signal_ids().nth(picks[k] % master.len()).unwrap();
+            master.set_output(out, format!("o{k}")).unwrap();
+            match &mut copy {
+                None => copy = Some(master.clone()),
+                Some(c) => c.append_suffix(&master),
+            }
+            assert_same_netlist(copy.as_ref().unwrap(), &master.clone());
         }
     }
 }

@@ -24,8 +24,9 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rtl_hdpll::{
-    AbortReason, Assumption, CancelToken, Certification, FaultPlan, HdpllResult, SessionCert,
-    SolverStats, StageOutcome, StageReport, SupervisedQuery, SupervisedResult, SupervisedSession,
+    AbortReason, Assumption, CancelToken, Certification, FaultPlan, HdpllResult, Session,
+    SessionCert, SolverStats, StageOutcome, StageReport, SupervisedQuery, SupervisedResult,
+    SupervisedSession,
 };
 use rtl_obs::{ObsConfig, ObsHandle};
 
@@ -215,7 +216,7 @@ fn content_key(engine: &str, fallback: bool, max_memory: Option<u64>, source: &s
 /// Projects one session query into the [`SupervisedResult`] shape the
 /// record builder consumes: abandoned rungs become their own stage
 /// reports (panics preserved as such, so the retry logic sees them),
-/// the answering rung carries the session's cumulative statistics.
+/// the answering rung carries the query's statistics ([`query_stats`]).
 fn session_result(
     q: SupervisedQuery,
     elapsed: Duration,
@@ -276,6 +277,22 @@ fn session_result(
         proof,
         preproc: None,
     }
+}
+
+/// The statistics of the query `session` just answered. A session's
+/// statistics are cumulative, so on a session that answered earlier
+/// requests the search time is its growth since `search_before`, and
+/// the one-time predicate pass belongs to the request that built the
+/// session (whose query is the session's first).
+fn query_stats(session: &Session, search_before: Option<Duration>) -> SolverStats {
+    let mut stats = *session.stats();
+    if session.queries() > 1 {
+        stats.search_time = stats
+            .search_time
+            .saturating_sub(search_before.unwrap_or_default());
+        stats.learn_time = Duration::ZERO;
+    }
+    stats
 }
 
 /// What one served stream did, returned to the caller after the final
@@ -417,10 +434,11 @@ fn solve_on_session(
         if handle.on() {
             ladder.set_obs(handle.clone());
         }
+        let search_before = ladder.stats().map(|s| s.search_time);
         let start = Instant::now();
         let q = ladder.solve_cancellable(&[Assumption::yes(goal)], drain);
         let elapsed = start.elapsed();
-        let stats = ladder.stats().copied();
+        let stats = ladder.session().map(|s| query_stats(s, search_before));
         // Release the per-request telemetry sink; the cached ladder
         // must not keep the previous request's buffers alive.
         ladder.set_obs(ObsHandle::off());
@@ -1066,6 +1084,55 @@ mod tests {
         }
         assert_eq!(summary.tally.results, 2);
         assert_eq!(summary.tally.errors, 0);
+    }
+
+    #[test]
+    fn session_cache_records_report_each_requests_own_times() {
+        // A cached session's statistics are cumulative. Each record must
+        // still report its own query's search time (never more than its
+        // stage took) and charge the one-time predicate pass only to the
+        // request that built the session.
+        let ladder = "netlist cmp_ladder_unsat\\ninput a0 w2\\ninput a1 w2\\ninput a2 w2\\n\
+             input a3 w2\\ninput a4 w2\\nnode l0 bool = cmp.lt a0 a1\\n\
+             node l1 bool = cmp.lt a1 a2\\nnode l2 bool = cmp.lt a2 a3\\n\
+             node l3 bool = cmp.lt a3 a4\\nnode goal bool = and l0 l1 l2 l3\\n";
+        let input: String = ["a", "b", "c"]
+            .iter()
+            .map(|id| {
+                format!(
+                    "{{\"id\":\"{id}\",\"netlist\":\"{ladder}\",\"goal\":\"goal\",\"timeout_ms\":10000}}\n"
+                )
+            })
+            .collect();
+        let config = ServeConfig {
+            session_cache: 4,
+            ..ServeConfig::default()
+        };
+        let (out, summary) = serve_str(&input, &config);
+        let lines: Vec<&str> = out.lines().collect();
+        assert_eq!(lines.len(), 4, "three results + summary: {out}");
+        let ms = |v: &rtl_obs::json::Value, key: &str| {
+            v.get(key).and_then(rtl_obs::json::Value::as_f64).unwrap()
+        };
+        for (i, line) in lines[..3].iter().enumerate() {
+            let record = rtl_obs::json::parse(line).expect("record parses");
+            assert_eq!(
+                record.get("verdict").and_then(rtl_obs::json::Value::as_str),
+                Some("UNSAT"),
+                "{line}"
+            );
+            let stages = record.get("stages").and_then(rtl_obs::json::Value::as_arr).unwrap();
+            let stage_ms = ms(stages.last().unwrap(), "time_ms");
+            assert!(
+                ms(&record, "search_time_ms") <= stage_ms,
+                "search time beyond its stage's: {line}"
+            );
+            if i > 0 {
+                assert!(line.contains("\"compile_cache_hit\":1"), "{line}");
+                assert_eq!(ms(&record, "learn_time_ms"), 0.0, "cache hit: {line}");
+            }
+        }
+        assert_eq!(summary.tally.results, 3);
     }
 
     #[test]

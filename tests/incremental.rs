@@ -18,7 +18,8 @@
 //!   (`is_quiescent`) after every query.
 //!
 //! Then the session certifier itself: an injected fault never reaches
-//! a checked proof (and a [`SupervisedSession`] degrades past it), over
+//! a checked proof (and a [`SupervisedSession`] degrades past it, then
+//! keeps growing the session it rebuilt), over
 //! a BMC sweep the certifier admits each logged step exactly once, and
 //! every conflict lemma closes on its derivation hints. Last, a
 //! session's per-query propagation cap charges each query alone.
@@ -562,4 +563,66 @@ fn session_propagation_cap_charges_each_query_alone() {
         assert_eq!(c.cert, SessionCert::ProofChecked, "p1@{depth}");
     }
     assert!(session.stats().engine.propagations > 2 * cap);
+}
+
+/// Panics unless `live` and `reference` are the same netlist: the same
+/// length and signals, the same `find` for every name, the same outputs.
+fn assert_same_netlist(live: &Netlist, reference: &Netlist, tag: &str) {
+    assert_eq!(live.len(), reference.len(), "{tag}: length");
+    for id in reference.signal_ids() {
+        assert_eq!(live.signal(id), reference.signal(id), "{tag}: signal {id}");
+        if let Some(name) = reference.signal(id).name() {
+            assert_eq!(live.find(name), Some(id), "{tag}: find({name})");
+        }
+    }
+    assert_eq!(live.outputs(), reference.outputs(), "{tag}: outputs");
+}
+
+#[test]
+fn degraded_supervised_session_keeps_growing() {
+    // The b13 p2 sweep on a ladder whose first rung is faulted: an
+    // answer fails certification, the ladder rebuilds a clean session
+    // from its master netlist, and the sweep keeps extending it. The
+    // ladder catches its live session up by copying only the master's
+    // new suffix, which is sound only if the rebuilt session started
+    // from the master: after every extend its netlist must equal an
+    // independent unrolling, and every answer must stay a checked
+    // UNSAT proof that a fresh checker accepts.
+    let circuit = rtlsat::itc99::b13();
+    let mut unroller = circuit.unroller();
+    let mut base = unroller.base_netlist();
+    unroller.push_frame(&mut base).unwrap();
+    let mut independent = circuit.unroller();
+    let mut reference = independent.base_netlist();
+    independent.push_frame(&mut reference).unwrap();
+    let rung = SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
+    let mut ladder = SupervisedSession::with_rungs(
+        &base,
+        vec![("faulty".to_string(), rung), ("clean".to_string(), rung)],
+    );
+    ladder.inject_faults(session_faults()[0]);
+    let mut degraded_at = None;
+    for depth in 0..20 {
+        let tag = format!("p2@{depth}");
+        if depth > 0 {
+            ladder.extend(|n| unroller.push_frame(n).unwrap());
+            independent.push_frame(&mut reference).unwrap();
+            let live = ladder.session().expect("a live session");
+            assert_same_netlist(live.netlist(), &reference, &tag);
+        }
+        let q = ladder.solve(&[Assumption::yes(unroller.bad("p2", depth).unwrap())]);
+        assert!(q.certified.result.is_unsat(), "{tag}");
+        assert_eq!(q.certified.cert, SessionCert::ProofChecked, "{tag}");
+        let live = ladder.session().expect("an answering session");
+        assert!(fresh_accepts(live.proof_netlist(), &q.certified), "{tag}");
+        if degraded_at.is_none() && ladder.degradations() > 0 {
+            degraded_at = Some(depth);
+        }
+    }
+    assert!(ladder.degradations() >= 1, "the faulted rung never degraded");
+    assert!(
+        degraded_at.is_some_and(|d| d < 19),
+        "the ladder degraded at the last depth: nothing grew past it"
+    );
+    assert_eq!(ladder.active_rung(), "clean");
 }
