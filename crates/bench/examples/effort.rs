@@ -8,18 +8,54 @@
 //! the FM final checks' share of it); the end-to-end benchmark's five
 //! b13 BMC session sweeps (default session rung, preprocessing on;
 //! counters summed per sweep, and for each 40-depth sweep the mean
-//! answer time at depths 1–10 against 30–39); and `mux_search` 6–12 under each engine
-//! with proof logging, printing the verdict, the conflict count, an
-//! FNV-1a digest of the proof text and whether a fresh checker accepts
-//! it. Diff two builds' output to see where their searches part.
+//! answer time and heap allocations at depths 1–10 against 30–39); and
+//! `mux_search` 6–12 under each engine with proof logging, printing the
+//! verdict, the conflict count, an FNV-1a digest of the proof text and
+//! whether a fresh checker accepts it. Diff two builds' output to see
+//! where their searches part. Every sweep answer must be a checked
+//! UNSAT proof, or the run panics.
+//!
+//! Allocations are counted by this example's global allocator (every
+//! `alloc`, `alloc_zeroed` and `realloc`); the counts are deterministic.
 //!
 //!     cargo run --release -p rtl-bench --example effort
 
-use std::time::Duration;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use rtl_bench::hotpath::{b13_sweep_timed, fnv1a, B13_SWEEPS};
 use rtl_hdpll::{EngineStats, LearnConfig, ObsConfig, ObsHandle, Solver, SolverConfig};
 use rtl_proof::{format, Checker};
+
+/// The system allocator, counting every allocation it hands out.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call forwards to `System` with the caller's arguments.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
 
 fn counters(e: &EngineStats) -> String {
     format!(
@@ -79,8 +115,12 @@ fn main() {
     let rung = SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
     for (prop, depths) in B13_SWEEPS {
         let t = std::time::Instant::now();
-        let (ladder, _, times) =
-            b13_sweep_timed(prop, depths, vec![("hdpll-sp".to_string(), rung)]);
+        let (ladder, _, costs) = b13_sweep_timed(
+            prop,
+            depths,
+            vec![("hdpll-sp".to_string(), rung)],
+            || ALLOCATIONS.load(Ordering::Relaxed),
+        );
         let engine = ladder.stats().map(|s| s.engine).unwrap_or_default();
         println!(
             "b13 {prop} x{depths}: {:.1}ms {}",
@@ -90,13 +130,17 @@ fn main() {
         // How an answer's cost grows with the unrolling: flat when an
         // answer pays for its own frame and search only.
         if depths >= 40 {
-            let mean_ms = |depths: std::ops::Range<usize>| {
+            let mean = |depths: std::ops::Range<usize>| {
                 let n = depths.len() as f64;
-                times[depths].iter().map(Duration::as_secs_f64).sum::<f64>() * 1e3 / n
+                let answers = &costs[depths];
+                let ms = answers.iter().map(|a| a.time.as_secs_f64()).sum::<f64>() * 1e3 / n;
+                let allocs = answers.iter().map(|a| a.allocs).sum::<u64>() as f64 / n;
+                (ms, allocs)
             };
-            let (early, late) = (mean_ms(1..11), mean_ms(30..40));
+            let ((early, early_allocs), (late, late_allocs)) = (mean(1..11), mean(30..40));
             println!(
-                "b13 {prop} per answer: depths 1-10 {early:.3}ms, 30-39 {late:.3}ms, ratio {:.2}",
+                "b13 {prop} per answer: depths 1-10 {early:.3}ms {early_allocs:.1} allocs, \
+                 30-39 {late:.3}ms {late_allocs:.1} allocs, ratio {:.2}",
                 late / early
             );
         }

@@ -368,12 +368,23 @@ pub fn b13_sweep(
     depths: usize,
     rungs: Vec<(String, SolverConfig)>,
 ) -> (SupervisedSession, Vec<String>) {
-    let (ladder, proofs, _) = b13_sweep_timed(prop, depths, rungs);
+    let (ladder, proofs, _) = b13_sweep_timed(prop, depths, rungs, || 0);
     (ladder, proofs)
 }
 
-/// [`b13_sweep`], also returning the wall time of every answer: its
-/// `extend` (none at depth 0) plus its query.
+/// What one answer of a b13 sweep cost: its `extend` (none at depth 0)
+/// plus its query.
+#[derive(Clone, Copy, Debug)]
+pub struct AnswerCost {
+    /// Wall time.
+    pub time: Duration,
+    /// Heap allocations, as counted by the caller's `allocations`.
+    pub allocs: u64,
+}
+
+/// [`b13_sweep`], also returning the cost of every answer.
+/// `allocations` reads a running count of heap allocations (a counting
+/// global allocator in the caller's binary; `|| 0` without one).
 ///
 /// # Panics
 ///
@@ -383,26 +394,31 @@ pub fn b13_sweep_timed(
     prop: &str,
     depths: usize,
     rungs: Vec<(String, SolverConfig)>,
-) -> (SupervisedSession, Vec<String>, Vec<Duration>) {
+    allocations: impl Fn() -> u64,
+) -> (SupervisedSession, Vec<String>, Vec<AnswerCost>) {
     let mut unroller = rtl_itc99::b13().unroller();
     let mut base = unroller.base_netlist();
     unroller.push_frame(&mut base).expect("b13 unrolls");
     let mut ladder = SupervisedSession::with_rungs(&base, rungs).with_preproc(true);
     let mut proofs = Vec::with_capacity(depths);
-    let mut times = Vec::with_capacity(depths);
+    let mut costs = Vec::with_capacity(depths);
     for depth in 0..depths {
+        let allocs = allocations();
         let start = Instant::now();
         if depth > 0 {
             ladder.extend(|n| unroller.push_frame(n).expect("b13 unrolls"));
         }
         let bad = unroller.bad(prop, depth).expect("property exists");
         let q = ladder.solve(&[Assumption::yes(bad)]);
-        times.push(start.elapsed());
+        costs.push(AnswerCost {
+            time: start.elapsed(),
+            allocs: allocations() - allocs,
+        });
         assert_eq!(q.certified.cert, SessionCert::ProofChecked, "b13 {prop}@{depth}");
         let proof = q.certified.proof.as_ref().expect("checked implies proof");
         proofs.push(rtl_proof::format::print(proof));
     }
-    (ladder, proofs, times)
+    (ladder, proofs, costs)
 }
 
 /// FNV-1a (64-bit), the digest certificate comparisons use.

@@ -34,6 +34,9 @@ use crate::types::{HLit, VarId};
 /// proof step (it was added before logging started).
 const NO_STEP: u32 = u32::MAX;
 
+/// Tag of an auxiliary variable's key in [`ProofLog::canon`].
+const AUX: u32 = 1 << 31;
+
 /// An in-progress proof: the recorded steps and their bookkeeping.
 pub(crate) struct ProofLog {
     steps: Vec<Step>,
@@ -48,6 +51,14 @@ pub(crate) struct ProofLog {
     /// yet handed to a certifier (`None`: the producer names no
     /// derivation).
     hints: Vec<Option<Vec<u32>>>,
+    /// Session logs: each engine variable's canonical key, grown with
+    /// the engine ([`ProofLog::grow_vars`]) — its signal index, or
+    /// `AUX | rank` for an auxiliary (its rank among auxiliaries by
+    /// ascending engine id). See [`ProofLog::snapshot`].
+    canon: Vec<u32>,
+    /// Signals and auxiliaries keyed in `canon` so far.
+    canon_signals: usize,
+    canon_aux: u32,
 }
 
 impl ProofLog {
@@ -60,6 +71,9 @@ impl ProofLog {
             clause_step: Vec::new(),
             pending_dels: Vec::new(),
             hints: Vec::new(),
+            canon: Vec::new(),
+            canon_signals: 0,
+            canon_aux: 0,
         }
     }
 
@@ -233,6 +247,25 @@ impl ProofLog {
         }
     }
 
+    /// Keys the engine variables added since the last call, after the
+    /// session engine grew to `var_count` variables with signal map
+    /// `sig_var`: the new signals' variables get their signal index,
+    /// the other new variables (auxiliaries) the next ranks.
+    pub fn grow_vars(&mut self, var_count: usize, sig_var: &[VarId]) {
+        let from = self.canon.len();
+        self.canon.resize(var_count, u32::MAX);
+        for (i, v) in sig_var.iter().enumerate().skip(self.canon_signals) {
+            self.canon[v.index()] = i as u32;
+        }
+        self.canon_signals = sig_var.len();
+        for key in &mut self.canon[from..] {
+            if *key == u32::MAX {
+                *key = AUX | self.canon_aux;
+                self.canon_aux += 1;
+            }
+        }
+    }
+
     /// Seals the *current* state of a session log into an assumption
     /// proof for one Unsat-under-`assumptions` query, without consuming
     /// the log — the session keeps learning across later queries.
@@ -246,11 +279,11 @@ impl ProofLog {
     ///   `extend`'s signals, then its auxiliaries), and so does the
     ///   session certifier, but a fresh checker lowers the final
     ///   netlist in one segment (all signals, then all auxiliaries).
-    ///   `sig_var` (the engine's signal→variable map) determines the
-    ///   renaming: signal variables map to their signal index,
-    ///   auxiliaries to `signal_count + rank` by ascending engine id —
-    ///   the same order a single-segment lowering allocates them,
-    ///   because both walk nodes in signal-id order.
+    ///   The keys [`ProofLog::grow_vars`] kept determine the renaming:
+    ///   signal variables map to their signal index, auxiliaries to
+    ///   `signal_count + rank` by ascending engine id — the same order a
+    ///   single-segment lowering allocates them, because both walk
+    ///   nodes in signal-id order.
     /// * **The final clause.** `¬a₁ ∨ … ∨ ¬aₖ` over the query's
     ///   assumptions is *assumption-dependent*, so it must not be
     ///   installed in the certifier (later queries would inherit it).
@@ -258,27 +291,15 @@ impl ProofLog {
     ///   fails the snapshot (only) gains a gap and cannot certify. A
     ///   session already at the empty clause (globally unsat) needs no
     ///   final clause.
-    pub fn snapshot(
-        &self,
-        var_count: usize,
-        sig_var: &[VarId],
-        assumptions: &[(VarId, bool)],
-        certifier: Option<&mut Checker>,
-    ) -> Proof {
-        let mut canon = vec![u32::MAX; var_count];
-        for (i, v) in sig_var.iter().enumerate() {
-            canon[v.index()] = i as u32;
-        }
-        let mut next = sig_var.len() as u32;
-        for c in &mut canon {
-            if *c == u32::MAX {
-                *c = next;
-                next += 1;
-            }
-        }
+    pub fn snapshot(&self, assumptions: &[(VarId, bool)], certifier: Option<&mut Checker>) -> Proof {
+        let signals = self.canon_signals as u32;
+        let canon = |var: u32| match self.canon[var as usize] {
+            key if key & AUX != 0 => signals + (key & !AUX),
+            key => key,
+        };
         let tr_lit = |lit: &PLit| match *lit {
             PLit::Bool { var, value } => PLit::Bool {
-                var: canon[var as usize],
+                var: canon(var),
                 value,
             },
             PLit::Word {
@@ -287,18 +308,16 @@ impl ProofLog {
                 hi,
                 positive,
             } => PLit::Word {
-                var: canon[var as usize],
+                var: canon(var),
                 lo,
                 hi,
                 positive,
             },
         };
         let tr_split = |split: &PSplit| match *split {
-            PSplit::Bool { var } => PSplit::Bool {
-                var: canon[var as usize],
-            },
+            PSplit::Bool { var } => PSplit::Bool { var: canon(var) },
             PSplit::Word { var, at } => PSplit::Word {
-                var: canon[var as usize],
+                var: canon(var),
                 at,
             },
         };
@@ -331,12 +350,12 @@ impl ProofLog {
             }
         }
         Proof {
-            var_count: var_count as u32,
+            var_count: self.canon.len() as u32,
             goal: self.goal.clone(),
             assumptions: assumptions
                 .iter()
                 .map(|&(var, value)| PLit::Bool {
-                    var: canon[var.index()],
+                    var: canon(var.index() as u32),
                     value,
                 })
                 .collect(),

@@ -197,7 +197,11 @@ impl Session {
         let compile_ns = u64::try_from(compile_start.elapsed().as_nanos()).unwrap_or(u64::MAX);
         let engine = Engine::new(compiled);
         let num_vars = engine.doms.len();
-        let proof = config.proof.then(ProofLog::new_free);
+        let proof = config.proof.then(|| {
+            let mut log = ProofLog::new_free();
+            log.grow_vars(num_vars, &engine.compiled.sig_var);
+            log
+        });
         // The certifier lowers the netlist itself; a variable count that
         // differs from the engine's means the two lowerings diverged,
         // and no answer is certified rather than checked against the
@@ -358,6 +362,9 @@ impl Session {
         self.engine.grow();
         let num_vars = self.engine.doms.len();
         self.weights.grow(num_vars);
+        if let Some(log) = &mut self.proof {
+            log.grow_vars(num_vars, &self.engine.compiled.sig_var);
+        }
         // The certifier grows segment-wise from the same netlist; see
         // `with_preproc` for the variable-count cross-check.
         let work = &mut self.certify_work;
@@ -588,17 +595,12 @@ impl Session {
     fn certify_unsat(&mut self, asm: &[(VarId, bool)]) -> Certified {
         self.certify_pending();
         let Session {
-            engine,
             proof,
             certifier,
             certify_work,
             ..
         } = self;
-        let snapshot = |c: Option<&mut Checker>| {
-            proof
-                .as_ref()
-                .map(|p| p.snapshot(engine.doms.len(), &engine.compiled.sig_var, asm, c))
-        };
+        let snapshot = |c: Option<&mut Checker>| proof.as_ref().map(|p| p.snapshot(asm, c));
         let proof = match certifier {
             Some(c) => charge(certify_work, c, |c| snapshot(Some(c))),
             None => snapshot(None),

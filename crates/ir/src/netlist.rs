@@ -1,6 +1,7 @@
 //! The netlist arena and its validating builder API.
 
-use std::collections::HashMap;
+use std::collections::hash_map::Entry;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 
 use crate::op::Op;
@@ -66,6 +67,9 @@ pub struct Netlist {
     signals: Vec<Signal>,
     names: HashMap<String, SignalId>,
     outputs: Vec<(SignalId, String)>,
+    /// The names in `outputs`, so a duplicate is found in O(1) (keyed
+    /// hashing: output names come from untrusted netlist text).
+    output_names: HashSet<String>,
 }
 
 impl Netlist {
@@ -77,6 +81,7 @@ impl Netlist {
             signals: Vec::new(),
             names: HashMap::new(),
             outputs: Vec::new(),
+            output_names: HashSet::new(),
         }
     }
 
@@ -159,7 +164,7 @@ impl Netlist {
     pub fn set_output(&mut self, id: SignalId, name: impl Into<String>) -> Result<(), NetlistError> {
         self.check(id)?;
         let name = name.into();
-        if self.outputs.iter().any(|(_, n)| *n == name) {
+        if !self.output_names.insert(name.clone()) {
             return Err(NetlistError::BadName {
                 name,
                 context: "duplicate output name".into(),
@@ -176,16 +181,17 @@ impl Netlist {
     /// Fails if the id is unknown or the name is already in use.
     pub fn set_name(&mut self, id: SignalId, name: impl Into<String>) -> Result<(), NetlistError> {
         self.check(id)?;
-        let name = name.into();
-        if self.names.contains_key(&name) {
-            return Err(NetlistError::BadName {
-                name,
+        match self.names.entry(name.into()) {
+            Entry::Occupied(e) => Err(NetlistError::BadName {
+                name: e.key().clone(),
                 context: "duplicate signal name".into(),
-            });
+            }),
+            Entry::Vacant(e) => {
+                self.signals[id.index()].name = Some(e.key().clone());
+                e.insert(id);
+                Ok(())
+            }
         }
-        self.names.insert(name.clone(), id);
-        self.signals[id.index()].name = Some(name);
-        Ok(())
     }
 
     /// Catches this netlist up with `master`, of which it must be a
@@ -206,8 +212,10 @@ impl Netlist {
             }
             self.signals.push(sig.clone());
         }
-        self.outputs
-            .extend_from_slice(&master.outputs[self.outputs.len()..]);
+        for output in &master.outputs[self.outputs.len()..] {
+            self.output_names.insert(output.1.clone());
+            self.outputs.push(output.clone());
+        }
     }
 
     pub(crate) fn push(&mut self, ty: SignalType, op: Op) -> SignalId {
@@ -685,49 +693,11 @@ impl Netlist {
                     ),
                 });
             }
-            let new_op = remap_op(&sig.op, map);
+            let new_op = sig.op.remap(|o| map[&o]);
             let new_id = self.push(sig.ty, new_op);
             map.insert(top, new_id);
         }
         Ok(map[&id])
-    }
-}
-
-fn remap_op(op: &Op, map: &HashMap<SignalId, SignalId>) -> Op {
-    let m = |id: SignalId| map[&id];
-    match op {
-        Op::Input => Op::Input,
-        Op::Const(c) => Op::Const(*c),
-        Op::Not(a) => Op::Not(m(*a)),
-        Op::And(v) => Op::And(v.iter().map(|&a| m(a)).collect()),
-        Op::Or(v) => Op::Or(v.iter().map(|&a| m(a)).collect()),
-        Op::Xor(a, b) => Op::Xor(m(*a), m(*b)),
-        Op::Add(a, b) => Op::Add(m(*a), m(*b)),
-        Op::Sub(a, b) => Op::Sub(m(*a), m(*b)),
-        Op::MulConst(a, k) => Op::MulConst(m(*a), *k),
-        Op::Shl(a, k) => Op::Shl(m(*a), *k),
-        Op::Shr(a, k) => Op::Shr(m(*a), *k),
-        Op::Extract { src, hi, lo } => Op::Extract {
-            src: m(*src),
-            hi: *hi,
-            lo: *lo,
-        },
-        Op::Concat(a, b) => Op::Concat(m(*a), m(*b)),
-        Op::ZeroExt(a) => Op::ZeroExt(m(*a)),
-        Op::SignExt(a) => Op::SignExt(m(*a)),
-        Op::Ite { sel, t, e } => Op::Ite {
-            sel: m(*sel),
-            t: m(*t),
-            e: m(*e),
-        },
-        Op::Min(a, b) => Op::Min(m(*a), m(*b)),
-        Op::Max(a, b) => Op::Max(m(*a), m(*b)),
-        Op::Cmp { op, a, b } => Op::Cmp {
-            op: *op,
-            a: m(*a),
-            b: m(*b),
-        },
-        Op::BoolToWord(a) => Op::BoolToWord(m(*a)),
     }
 }
 

@@ -97,6 +97,46 @@ impl Op {
         OperandIter { op: self, pos: 0 }
     }
 
+    /// The same operator over operands `f(operand)` (parameters such as
+    /// constants, shift amounts and bit ranges are kept).
+    #[must_use]
+    pub fn remap(&self, mut f: impl FnMut(SignalId) -> SignalId) -> Op {
+        match self {
+            Op::Input => Op::Input,
+            Op::Const(c) => Op::Const(*c),
+            Op::Not(a) => Op::Not(f(*a)),
+            Op::And(v) => Op::And(v.iter().map(|&a| f(a)).collect()),
+            Op::Or(v) => Op::Or(v.iter().map(|&a| f(a)).collect()),
+            Op::Xor(a, b) => Op::Xor(f(*a), f(*b)),
+            Op::Add(a, b) => Op::Add(f(*a), f(*b)),
+            Op::Sub(a, b) => Op::Sub(f(*a), f(*b)),
+            Op::MulConst(a, k) => Op::MulConst(f(*a), *k),
+            Op::Shl(a, k) => Op::Shl(f(*a), *k),
+            Op::Shr(a, k) => Op::Shr(f(*a), *k),
+            Op::Extract { src, hi, lo } => Op::Extract {
+                src: f(*src),
+                hi: *hi,
+                lo: *lo,
+            },
+            Op::Concat(a, b) => Op::Concat(f(*a), f(*b)),
+            Op::ZeroExt(a) => Op::ZeroExt(f(*a)),
+            Op::SignExt(a) => Op::SignExt(f(*a)),
+            Op::Ite { sel, t, e } => Op::Ite {
+                sel: f(*sel),
+                t: f(*t),
+                e: f(*e),
+            },
+            Op::Min(a, b) => Op::Min(f(*a), f(*b)),
+            Op::Max(a, b) => Op::Max(f(*a), f(*b)),
+            Op::Cmp { op, a, b } => Op::Cmp {
+                op: *op,
+                a: f(*a),
+                b: f(*b),
+            },
+            Op::BoolToWord(a) => Op::BoolToWord(f(*a)),
+        }
+    }
+
     /// `true` for operators whose output is part of the word-level
     /// data-path (as opposed to Boolean control logic).
     ///

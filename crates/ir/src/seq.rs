@@ -72,9 +72,168 @@ pub struct BmcProblem {
     /// Boolean signal that is `1` iff the property is violated in the final
     /// frame; the BMC instance is the satisfiability of `bad = 1`.
     pub bad: SignalId,
-    /// For each frame `t`, the mapping from frame-netlist signals to their
-    /// copies in the unrolled netlist (useful for trace reconstruction).
-    pub frame_map: Vec<HashMap<SignalId, SignalId>>,
+    /// For each frame `t`, the copies of frame-netlist signals in the
+    /// unrolled netlist (useful for trace reconstruction).
+    pub frame_map: FrameMaps,
+}
+
+/// Dense per-frame signal maps: frame `t`'s copy of each frame-netlist
+/// signal, one array slot per frame signal.
+#[derive(Clone, Debug)]
+pub struct FrameMaps {
+    /// Frame-netlist signals per frame.
+    width: usize,
+    frames: usize,
+    /// `ids[t · width + s]`: frame `t`'s copy of frame signal `s`, or
+    /// [`UNMAPPED`] when frame `t` did not import it.
+    ids: Vec<SignalId>,
+}
+
+/// A frame signal that a frame did not import.
+const UNMAPPED: SignalId = SignalId(u32::MAX);
+
+impl FrameMaps {
+    fn new(width: usize) -> Self {
+        FrameMaps {
+            width,
+            frames: 0,
+            ids: Vec::new(),
+        }
+    }
+
+    /// Number of frames mapped.
+    #[must_use]
+    pub fn frames(&self) -> usize {
+        self.frames
+    }
+
+    /// The unrolled copy of frame-netlist signal `sig` in frame `frame`,
+    /// if that frame imported it.
+    #[must_use]
+    pub fn get(&self, frame: usize, sig: SignalId) -> Option<SignalId> {
+        if frame >= self.frames || sig.index() >= self.width {
+            return None;
+        }
+        Some(self.ids[frame * self.width + sig.index()]).filter(|&id| id != UNMAPPED)
+    }
+
+    /// Appends an unmapped frame: returns the previous frame's map
+    /// (empty for frame 0) and the new one.
+    fn push(&mut self) -> (&[SignalId], &mut [SignalId]) {
+        let start = self.frames * self.width;
+        self.ids.resize(start + self.width, UNMAPPED);
+        self.frames += 1;
+        let (done, cur) = self.ids.split_at_mut(start);
+        (&done[start - start.min(self.width)..], cur)
+    }
+
+    /// Drops the frames from `frames` on.
+    fn truncate(&mut self, frames: usize) {
+        self.frames = self.frames.min(frames);
+        self.ids.truncate(self.frames * self.width);
+    }
+}
+
+/// How to build one frame, recorded once per circuit: the free inputs
+/// with their base names, then the frame signals to copy, in the order
+/// [`Netlist::import`]'s DFS pushes them. Every frame pre-maps the same
+/// signals (all frame inputs: register states and free inputs), so that
+/// DFS visits the same signals in the same order in every frame, and
+/// replaying the recorded order through a dense map builds the frame
+/// the DFS would, without hashing.
+#[derive(Clone, Debug)]
+struct FramePlan {
+    free: Vec<(SignalId, String)>,
+    /// The signals the registers' next-state cones add, then those the
+    /// extra roots' cones add.
+    order: Vec<SignalId>,
+    /// `order[..next_end]` is the next-state part.
+    next_end: usize,
+}
+
+impl FramePlan {
+    /// Records the plan of a frame that imports every register's
+    /// next-state cone, then the cones of `extra` in order, by
+    /// importing one frame into a scratch netlist whose inputs stand
+    /// for the frame's inputs.
+    fn record(circuit: &SeqCircuit, extra: &[SignalId]) -> Result<FramePlan, NetlistError> {
+        let frame = &circuit.frame;
+        let free = circuit
+            .free_inputs()
+            .into_iter()
+            .map(|pi| {
+                let base = frame.signal(pi).name().map_or_else(|| pi.to_string(), str::to_owned);
+                (pi, base)
+            })
+            .collect();
+        let mut scratch = Netlist::new(frame.name());
+        let mut map = HashMap::new();
+        for id in eval::input_ids(frame) {
+            map.insert(id, scratch.push(frame.ty(id), Op::Input));
+        }
+        let inputs = scratch.len();
+        for reg in &circuit.registers {
+            scratch.import(frame, reg.next, &mut map)?;
+        }
+        let next_end = scratch.len() - inputs;
+        for &root in extra {
+            scratch.import(frame, root, &mut map)?;
+        }
+        // Scratch signal `inputs + k` is the copy of the k-th frame
+        // signal pushed.
+        let mut order = vec![UNMAPPED; scratch.len() - inputs];
+        for (&src, &dst) in &map {
+            if let Some(k) = dst.index().checked_sub(inputs) {
+                order[k] = src;
+            }
+        }
+        Ok(FramePlan {
+            free,
+            order,
+            next_end,
+        })
+    }
+
+    /// Appends frame `t` to `out`, filling `map` (frame signal → copy):
+    /// register states (initial constants at `t = 0`, the previous
+    /// frame's next-state copies in `prev` afterwards), fresh `name@t`
+    /// free inputs, then a copy of each planned signal with its operands
+    /// mapped (the extra roots' cones only if `extra`).
+    fn build(
+        &self,
+        circuit: &SeqCircuit,
+        out: &mut Netlist,
+        t: usize,
+        extra: bool,
+        prev: &[SignalId],
+        map: &mut [SignalId],
+    ) -> Result<(), NetlistError> {
+        let frame = &circuit.frame;
+        for reg in &circuit.registers {
+            map[reg.state.index()] = if t == 0 {
+                match frame.ty(reg.state) {
+                    SignalType::Bool => out.const_bool(reg.init == 1),
+                    SignalType::Word { width } => out.const_word(reg.init, width)?,
+                }
+            } else {
+                prev[reg.next.index()]
+            };
+        }
+        for (pi, base) in &self.free {
+            let name = format!("{base}@{t}");
+            map[pi.index()] = match frame.ty(*pi) {
+                SignalType::Bool => out.input_bool(&name)?,
+                SignalType::Word { width } => out.input_word(&name, width)?,
+            };
+        }
+        let order = if extra { &self.order[..] } else { &self.order[..self.next_end] };
+        for &sig in order {
+            let s = frame.signal(sig);
+            let op = s.op().remap(|o| map[o.index()]);
+            map[sig.index()] = out.push(s.ty(), op);
+        }
+        Ok(())
+    }
 }
 
 impl SeqCircuit {
@@ -209,52 +368,19 @@ impl SeqCircuit {
                 context: "unroll: frames must be ≥ 1".into(),
             });
         }
+        // Every frame imports the next-state logic (needed by the
+        // following frame); the final frame also imports the property
+        // cone.
+        let plan = FramePlan::record(self, &[bad_frame])?;
         let mut out = Netlist::new(format!("{}_{property}({frames})", self.frame.name()));
-        let mut frame_map: Vec<HashMap<SignalId, SignalId>> = Vec::with_capacity(frames);
-        let free = self.free_inputs();
-
+        let mut frame_map = FrameMaps::new(self.frame.len());
         for t in 0..frames {
-            let mut map: HashMap<SignalId, SignalId> = HashMap::new();
-            // Register states: initial constants at t = 0, previous frame's
-            // next values afterwards.
-            for reg in &self.registers {
-                let mapped = if t == 0 {
-                    match self.frame.ty(reg.state) {
-                        SignalType::Bool => out.const_bool(reg.init == 1),
-                        SignalType::Word { width } => out.const_word(reg.init, width)?,
-                    }
-                } else {
-                    frame_map[t - 1][&reg.next]
-                };
-                map.insert(reg.state, mapped);
-            }
-            // Free inputs: fresh inputs per frame.
-            for &pi in &free {
-                let base = self
-                    .frame
-                    .signal(pi)
-                    .name()
-                    .map(str::to_owned)
-                    .unwrap_or_else(|| pi.to_string());
-                let name = format!("{base}@{t}");
-                let fresh = match self.frame.ty(pi) {
-                    SignalType::Bool => out.input_bool(&name)?,
-                    SignalType::Word { width } => out.input_word(&name, width)?,
-                };
-                map.insert(pi, fresh);
-            }
-            // Import next-state logic (needed by the following frame) and,
-            // in the final frame, the property cone.
-            for reg in &self.registers {
-                out.import(&self.frame, reg.next, &mut map)?;
-            }
-            if t + 1 == frames {
-                out.import(&self.frame, bad_frame, &mut map)?;
-            }
-            frame_map.push(map);
+            let (prev, map) = frame_map.push();
+            plan.build(self, &mut out, t, t + 1 == frames, prev, map)?;
         }
-
-        let bad = frame_map[frames - 1][&bad_frame];
+        let bad = frame_map
+            .get(frames - 1, bad_frame)
+            .expect("the final frame imports the property cone");
         out.set_output(bad, format!("bad_{property}"))?;
         Ok(BmcProblem {
             netlist: out,
@@ -266,9 +392,12 @@ impl SeqCircuit {
     /// Starts an incremental unrolling of this circuit; see [`Unroller`].
     #[must_use]
     pub fn unroller(&self) -> Unroller {
+        let bads: Vec<SignalId> = self.properties.iter().map(|&(_, bad)| bad).collect();
         Unroller {
+            plan: FramePlan::record(self, &bads)
+                .expect("registers and properties name frame signals, and every input is mapped"),
             circuit: self.clone(),
-            frame_map: Vec::new(),
+            frame_map: FrameMaps::new(self.frame.len()),
             bads: Vec::new(),
         }
     }
@@ -349,9 +478,12 @@ impl SeqCircuit {
 #[derive(Clone, Debug)]
 pub struct Unroller {
     circuit: SeqCircuit,
-    frame_map: Vec<HashMap<SignalId, SignalId>>,
-    /// `bads[t][p]` — property `p`'s violation signal in frame `t`.
-    bads: Vec<Vec<SignalId>>,
+    /// Every frame imports the next-state cones, then each property's
+    /// violation cone.
+    plan: FramePlan,
+    frame_map: FrameMaps,
+    /// `bads[t · P + p]` — property `p`'s violation signal in frame `t`.
+    bads: Vec<SignalId>,
 }
 
 impl Unroller {
@@ -366,7 +498,7 @@ impl Unroller {
     /// Number of frames pushed so far.
     #[must_use]
     pub fn frames(&self) -> usize {
-        self.frame_map.len()
+        self.frame_map.frames()
     }
 
     /// Appends the next time-frame to `out`: register states (initial
@@ -383,47 +515,24 @@ impl Unroller {
     /// Propagates netlist construction errors (e.g. name clashes with
     /// signals the caller added to `out`).
     pub fn push_frame(&mut self, out: &mut Netlist) -> Result<(), NetlistError> {
-        let t = self.frame_map.len();
-        let circuit = &self.circuit;
-        let mut map: HashMap<SignalId, SignalId> = HashMap::new();
-        for reg in &circuit.registers {
-            let mapped = if t == 0 {
-                match circuit.frame.ty(reg.state) {
-                    SignalType::Bool => out.const_bool(reg.init == 1),
-                    SignalType::Word { width } => out.const_word(reg.init, width)?,
+        let t = self.frame_map.frames();
+        let (prev, map) = self.frame_map.push();
+        let built = self
+            .plan
+            .build(&self.circuit, out, t, true, prev, map)
+            .and_then(|()| {
+                for (name, bad_frame) in &self.circuit.properties {
+                    let bad = map[bad_frame.index()];
+                    out.set_output(bad, format!("bad_{name}@{t}"))?;
+                    self.bads.push(bad);
                 }
-            } else {
-                self.frame_map[t - 1][&reg.next]
-            };
-            map.insert(reg.state, mapped);
+                Ok(())
+            });
+        if built.is_err() {
+            self.frame_map.truncate(t);
+            self.bads.truncate(t * self.circuit.properties.len());
         }
-        for pi in circuit.free_inputs() {
-            let base = circuit
-                .frame
-                .signal(pi)
-                .name()
-                .map(str::to_owned)
-                .unwrap_or_else(|| pi.to_string());
-            let name = format!("{base}@{t}");
-            let fresh = match circuit.frame.ty(pi) {
-                SignalType::Bool => out.input_bool(&name)?,
-                SignalType::Word { width } => out.input_word(&name, width)?,
-            };
-            map.insert(pi, fresh);
-        }
-        for reg in &circuit.registers {
-            out.import(&circuit.frame, reg.next, &mut map)?;
-        }
-        let mut bads = Vec::with_capacity(circuit.properties.len());
-        for (name, bad_frame) in &circuit.properties {
-            out.import(&circuit.frame, *bad_frame, &mut map)?;
-            let bad = map[bad_frame];
-            out.set_output(bad, format!("bad_{name}@{t}"))?;
-            bads.push(bad);
-        }
-        self.frame_map.push(map);
-        self.bads.push(bads);
-        Ok(())
+        built
     }
 
     /// Property `property`'s violation signal at depth `frame`
@@ -432,19 +541,19 @@ impl Unroller {
     /// `property` be violated exactly `frame` steps after reset?".
     #[must_use]
     pub fn bad(&self, property: &str, frame: usize) -> Option<SignalId> {
-        let p = self
-            .circuit
-            .properties
-            .iter()
-            .position(|(n, _)| n == property)?;
-        Some(*self.bads.get(frame)?.get(p)?)
+        let properties = &self.circuit.properties;
+        let p = properties.iter().position(|(n, _)| n == property)?;
+        if frame >= self.frames() {
+            return None;
+        }
+        Some(self.bads[frame * properties.len() + p])
     }
 
     /// The unrolled copy of frame-netlist signal `sig` in frame `frame`
     /// (for trace reconstruction), if both exist.
     #[must_use]
     pub fn frame_signal(&self, frame: usize, sig: SignalId) -> Option<SignalId> {
-        self.frame_map.get(frame)?.get(&sig).copied()
+        self.frame_map.get(frame, sig)
     }
 }
 

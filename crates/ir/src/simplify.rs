@@ -28,7 +28,9 @@
 //! already-simplified netlist is the identity (pinned by the
 //! idempotence tests).
 
+use std::collections::hash_map::{Entry, RandomState};
 use std::collections::HashMap;
+use std::hash::{BuildHasher, Hasher};
 
 use crate::analysis;
 use crate::netlist::Netlist;
@@ -206,70 +208,28 @@ fn prune_cone(netlist: &Netlist, roots: &[SignalId]) -> (Netlist, Vec<Option<Sig
     }
     let mut out = Netlist::new(netlist.name());
     let mut map: Vec<Option<SignalId>> = Vec::with_capacity(netlist.len());
-    let mut remap: HashMap<SignalId, SignalId> = HashMap::new();
     for id in netlist.signal_ids() {
         if !in_cone[id.index()] {
             map.push(None);
             continue;
         }
+        // The cone is closed under operands, so every operand is mapped.
         let sig = netlist.signal(id);
-        let new_op = match sig.op() {
-            Op::Input => Op::Input,
-            op => remap_through(op, &remap),
-        };
+        let new_op = sig.op().remap(|o| map[o.index()].expect("operand in the cone"));
         let new_id = out.push(sig.ty(), new_op);
         if let Some(name) = sig.name() {
             if out.find(name).is_none() {
                 let _ = out.set_name(new_id, name);
             }
         }
-        remap.insert(id, new_id);
         map.push(Some(new_id));
     }
     for (id, name) in netlist.outputs() {
-        if let Some(&new_id) = remap.get(id) {
+        if let Some(new_id) = map[id.index()] {
             let _ = out.set_output(new_id, name.clone());
         }
     }
     (out, map, dropped)
-}
-
-fn remap_through(op: &Op, map: &HashMap<SignalId, SignalId>) -> Op {
-    let m = |id: SignalId| map[&id];
-    match op {
-        Op::Input => Op::Input,
-        Op::Const(c) => Op::Const(*c),
-        Op::Not(a) => Op::Not(m(*a)),
-        Op::And(v) => Op::And(v.iter().map(|&a| m(a)).collect()),
-        Op::Or(v) => Op::Or(v.iter().map(|&a| m(a)).collect()),
-        Op::Xor(a, b) => Op::Xor(m(*a), m(*b)),
-        Op::Add(a, b) => Op::Add(m(*a), m(*b)),
-        Op::Sub(a, b) => Op::Sub(m(*a), m(*b)),
-        Op::MulConst(a, k) => Op::MulConst(m(*a), *k),
-        Op::Shl(a, k) => Op::Shl(m(*a), *k),
-        Op::Shr(a, k) => Op::Shr(m(*a), *k),
-        Op::Extract { src, hi, lo } => Op::Extract {
-            src: m(*src),
-            hi: *hi,
-            lo: *lo,
-        },
-        Op::Concat(a, b) => Op::Concat(m(*a), m(*b)),
-        Op::ZeroExt(a) => Op::ZeroExt(m(*a)),
-        Op::SignExt(a) => Op::SignExt(m(*a)),
-        Op::Ite { sel, t, e } => Op::Ite {
-            sel: m(*sel),
-            t: m(*t),
-            e: m(*e),
-        },
-        Op::Min(a, b) => Op::Min(m(*a), m(*b)),
-        Op::Max(a, b) => Op::Max(m(*a), m(*b)),
-        Op::Cmp { op, a, b } => Op::Cmp {
-            op: *op,
-            a: m(*a),
-            b: m(*b),
-        },
-        Op::BoolToWord(a) => Op::BoolToWord(m(*a)),
-    }
 }
 
 /// The incremental rewrite engine: feed it a growing netlist with
@@ -282,7 +242,7 @@ pub struct Simplifier {
     /// old index → new id (total; every processed signal has an image).
     map: Vec<SignalId>,
     /// Hash-cons table over `(type, rewritten op)`.
-    cons: HashMap<(SignalType, Op), SignalId>,
+    cons: HashMap<(SignalType, Op), SignalId, ConsHash>,
     /// Known constant value per *new* signal.
     known: Vec<Option<i64>>,
     /// Value range `[lo, hi]` per *new* signal (range-aware folding).
@@ -299,7 +259,7 @@ impl Simplifier {
         Simplifier {
             out: Netlist::new(name),
             map: Vec::new(),
-            cons: HashMap::new(),
+            cons: HashMap::default(),
             known: Vec::new(),
             range: Vec::new(),
             outputs_done: 0,
@@ -395,7 +355,7 @@ impl Simplifier {
     fn emit(&mut self, ty: SignalType, op: &Op, name: Option<&str>) -> SignalId {
         let op = match op {
             Op::Input => Op::Input,
-            other => remap_slice(other, &self.map),
+            other => other.remap(|o| self.map[o.index()]),
         };
         self.emit_rewritten(ty, op, name)
     }
@@ -452,15 +412,20 @@ impl Simplifier {
     }
 
     /// Interns `(ty, op)` in the hash-cons table, pushing a new signal
-    /// on a miss.
+    /// on a miss: one hash per call, and a clone of `op` only on a miss
+    /// (the table and the netlist each keep one).
     fn intern(&mut self, ty: SignalType, op: Op) -> SignalId {
-        if let Some(&id) = self.cons.get(&(ty, op.clone())) {
-            return id;
-        }
-        let id = self.out.push(ty, op.clone());
+        let id = SignalId(u32::try_from(self.out.len()).expect("netlist too large"));
+        let op = match self.cons.entry((ty, op)) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => {
+                let op = e.key().1.clone();
+                e.insert(id);
+                op
+            }
+        };
         self.push_meta(id, ty, &op);
-        self.cons.insert((ty, op), id);
-        id
+        self.out.push(ty, op)
     }
 
     /// Records the constant value and range of a freshly pushed signal.
@@ -739,49 +704,44 @@ impl Simplifier {
     /// Simplifies an n-ary `And` (`conj = true`) or `Or`: drops
     /// duplicates and neutral constants, short-circuits on absorbing
     /// constants and complementary literals, sorts operands for better
-    /// hash-cons hits.
+    /// hash-cons hits. Allocates only when it rewrites the operands.
     fn rewrite_nary(&self, v: &[SignalId], conj: bool) -> Rewrite {
         let (absorb, neutral) = if conj { (0, 1) } else { (1, 0) };
-        let mut kept: Vec<SignalId> = Vec::with_capacity(v.len());
-        for &a in v {
-            match self.val(a) {
-                Some(c) if c == absorb => return Rewrite::Const(absorb),
-                Some(_) => {} // neutral: drop
-                None => {
-                    if !kept.contains(&a) {
-                        kept.push(a);
-                    }
-                }
-            }
+        if v.iter().any(|&a| self.val(a) == Some(absorb)) {
+            return Rewrite::Const(absorb);
         }
-        // x ∧ ¬x = 0, x ∨ ¬x = 1.
-        for &a in &kept {
+        // x ∧ ¬x = 0, x ∨ ¬x = 1. Neither side is a constant: the
+        // negation of a constant folds to one.
+        for &a in v {
             if let Op::Not(b) = self.out.op(a) {
-                if kept.contains(b) {
+                if v.contains(b) {
                     return Rewrite::Const(absorb);
                 }
             }
         }
+        // Strictly ascending and free of constants: nothing to drop or
+        // sort. Anything else is rewritten, or the `Replace` loop would
+        // never terminate.
+        if v.len() > 1
+            && v.windows(2).all(|w| w[0].index() < w[1].index())
+            && v.iter().all(|&a| self.val(a).is_none())
+        {
+            return Rewrite::Keep;
+        }
+        let mut kept: Vec<SignalId> = v.iter().copied().filter(|&a| self.val(a).is_none()).collect();
+        kept.sort_unstable_by_key(|s| s.index());
+        kept.dedup();
         match kept.len() {
             0 => Rewrite::Const(neutral),
             1 => Rewrite::Alias(kept[0]),
-            _ => {
-                kept.sort_unstable_by_key(|s| s.index());
-                // `Keep` when nothing changed, or the `Replace` loop
-                // never terminates.
-                if kept.as_slice() == v {
-                    Rewrite::Keep
-                } else if conj {
-                    Rewrite::Replace(Op::And(kept))
-                } else {
-                    Rewrite::Replace(Op::Or(kept))
-                }
-            }
+            _ if conj => Rewrite::Replace(Op::And(kept)),
+            _ => Rewrite::Replace(Op::Or(kept)),
         }
     }
 }
 
 /// Outcome of one rewrite attempt.
+#[cfg_attr(test, derive(Debug, PartialEq))]
 enum Rewrite {
     /// No rule applies; intern the operator as-is.
     Keep,
@@ -793,41 +753,71 @@ enum Rewrite {
     Replace(Op),
 }
 
-fn remap_slice(op: &Op, map: &[SignalId]) -> Op {
-    let m = |id: SignalId| map[id.index()];
-    match op {
-        Op::Input => Op::Input,
-        Op::Const(c) => Op::Const(*c),
-        Op::Not(a) => Op::Not(m(*a)),
-        Op::And(v) => Op::And(v.iter().map(|&a| m(a)).collect()),
-        Op::Or(v) => Op::Or(v.iter().map(|&a| m(a)).collect()),
-        Op::Xor(a, b) => Op::Xor(m(*a), m(*b)),
-        Op::Add(a, b) => Op::Add(m(*a), m(*b)),
-        Op::Sub(a, b) => Op::Sub(m(*a), m(*b)),
-        Op::MulConst(a, k) => Op::MulConst(m(*a), *k),
-        Op::Shl(a, k) => Op::Shl(m(*a), *k),
-        Op::Shr(a, k) => Op::Shr(m(*a), *k),
-        Op::Extract { src, hi, lo } => Op::Extract {
-            src: m(*src),
-            hi: *hi,
-            lo: *lo,
-        },
-        Op::Concat(a, b) => Op::Concat(m(*a), m(*b)),
-        Op::ZeroExt(a) => Op::ZeroExt(m(*a)),
-        Op::SignExt(a) => Op::SignExt(m(*a)),
-        Op::Ite { sel, t, e } => Op::Ite {
-            sel: m(*sel),
-            t: m(*t),
-            e: m(*e),
-        },
-        Op::Min(a, b) => Op::Min(m(*a), m(*b)),
-        Op::Max(a, b) => Op::Max(m(*a), m(*b)),
-        Op::Cmp { op, a, b } => Op::Cmp {
-            op: *op,
-            a: m(*a),
-            b: m(*b),
-        },
-        Op::BoolToWord(a) => Op::BoolToWord(m(*a)),
+/// The hash-cons table's hasher: a multiply-fold over the key's
+/// integer words, keyed per process from [`RandomState`]. The key stays
+/// secret because netlists can be untrusted input (`rtlsat` and
+/// `rtlsat serve` simplify what they are sent): without it, keys that
+/// share their low bits would pile into one bucket group.
+#[derive(Clone, Debug)]
+struct ConsHash {
+    seed: u64,
+}
+
+impl Default for ConsHash {
+    fn default() -> Self {
+        ConsHash {
+            seed: RandomState::new().hash_one(0u64),
+        }
+    }
+}
+
+impl BuildHasher for ConsHash {
+    type Hasher = FoldHasher;
+
+    fn build_hasher(&self) -> FoldHasher {
+        FoldHasher { state: self.seed }
+    }
+}
+
+/// See [`ConsHash`]. Each word is mixed in as `fold(state ⊕ word, K)`,
+/// `fold(a, b)` folding the 128-bit product `a·b` to 64 bits.
+struct FoldHasher {
+    state: u64,
+}
+
+impl Hasher for FoldHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u8(&mut self, x: u8) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u16(&mut self, x: u16) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.write_u64(u64::from(x));
+    }
+
+    fn write_usize(&mut self, x: usize) {
+        self.write_u64(x as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        const K: u64 = 0x9e37_79b9_7f4a_7c15;
+        let p = u128::from(self.state ^ x) * u128::from(K);
+        self.state = (p as u64) ^ ((p >> 64) as u64);
+    }
+
+    fn finish(&self) -> u64 {
+        self.state
     }
 }
 
@@ -880,7 +870,7 @@ pub fn scorr_lite(circuit: &SeqCircuit) -> (SeqCircuit, SignalMap, usize) {
                     continue;
                 }
             }
-            let remapped = remap_slice(sig.op(), &pre);
+            let remapped = sig.op().remap(|o| pre[o.index()]);
             let new_id = s.emit_rewritten(sig.ty(), remapped, sig.name());
             pre.push(new_id);
         }
@@ -1286,6 +1276,73 @@ mod unit {
         // After dedup+sort the two conjunctions hash-cons together.
         assert_eq!(r.map.get(x), r.map.get(y));
         roundtrip_equiv(&n, &[same]);
+    }
+
+    /// The n-ary rule rewrites every operand list of up to three
+    /// operands over constants, inputs and negations exactly as the
+    /// rule it replaced, which always collected the kept operands first.
+    #[test]
+    fn nary_rewrite_matches_the_collecting_rule() {
+        fn collecting(s: &Simplifier, v: &[SignalId], conj: bool) -> Rewrite {
+            let (absorb, neutral) = if conj { (0, 1) } else { (1, 0) };
+            let mut kept: Vec<SignalId> = Vec::with_capacity(v.len());
+            for &a in v {
+                match s.val(a) {
+                    Some(c) if c == absorb => return Rewrite::Const(absorb),
+                    Some(_) => {}
+                    None => {
+                        if !kept.contains(&a) {
+                            kept.push(a);
+                        }
+                    }
+                }
+            }
+            for &a in &kept {
+                if let Op::Not(b) = s.out.op(a) {
+                    if kept.contains(b) {
+                        return Rewrite::Const(absorb);
+                    }
+                }
+            }
+            match kept.len() {
+                0 => Rewrite::Const(neutral),
+                1 => Rewrite::Alias(kept[0]),
+                _ => {
+                    kept.sort_unstable_by_key(|s| s.index());
+                    if kept.as_slice() == v {
+                        Rewrite::Keep
+                    } else if conj {
+                        Rewrite::Replace(Op::And(kept))
+                    } else {
+                        Rewrite::Replace(Op::Or(kept))
+                    }
+                }
+            }
+        }
+        let mut n = Netlist::new("t");
+        let zero = n.const_bool(false);
+        let one = n.const_bool(true);
+        let a = n.input_bool("a").unwrap();
+        let b = n.input_bool("b").unwrap();
+        let c = n.input_bool("c").unwrap();
+        let na = n.not(a).unwrap();
+        let nb = n.not(b).unwrap();
+        let mut s = Simplifier::new("t");
+        s.process(&n);
+        let pool: Vec<SignalId> = [zero, one, a, b, c, na, nb].iter().map(|&x| s.map(x)).collect();
+        let mut lists: Vec<Vec<SignalId>> = Vec::new();
+        for &x in &pool {
+            lists.push(vec![x]);
+            for &y in &pool {
+                lists.push(vec![x, y]);
+                lists.extend(pool.iter().map(|&z| vec![x, y, z]));
+            }
+        }
+        for v in &lists {
+            for conj in [true, false] {
+                assert_eq!(s.rewrite_nary(v, conj), collecting(&s, v, conj), "{v:?} conj={conj}");
+            }
+        }
     }
 
     #[test]

@@ -57,21 +57,21 @@ pub(crate) enum PCons {
 }
 
 impl PCons {
-    /// The participating variables (with multiplicity).
-    pub fn vars(&self) -> Vec<u32> {
+    /// Calls `f` on each participating variable (with multiplicity), in
+    /// place: lowering visits every constraint of every segment.
+    pub fn for_each_var(&self, mut f: impl FnMut(u32)) {
         match self {
-            PCons::Not { out, a } => vec![*out, *a],
+            PCons::Not { out, a } => [*out, *a].into_iter().for_each(f),
             PCons::And { out, ins } | PCons::Or { out, ins } => {
-                let mut v = vec![*out];
-                v.extend_from_slice(ins);
-                v
+                f(*out);
+                ins.iter().copied().for_each(f);
             }
             PCons::Xor { out, a, b }
             | PCons::CmpReif { out, a, b, .. }
             | PCons::Min { out, a, b }
-            | PCons::Max { out, a, b } => vec![*out, *a, *b],
-            PCons::Ite { out, sel, t, e } => vec![*out, *sel, *t, *e],
-            PCons::Lin { terms, .. } => terms.iter().map(|&(v, _)| v).collect(),
+            | PCons::Max { out, a, b } => [*out, *a, *b].into_iter().for_each(f),
+            PCons::Ite { out, sel, t, e } => [*out, *sel, *t, *e].into_iter().for_each(f),
+            PCons::Lin { terms, .. } => terms.iter().for_each(|&(v, _)| f(v)),
         }
     }
 }
@@ -195,13 +195,15 @@ impl Lowered {
         self.sig_var = sig_var;
 
         self.watch.resize(self.init_dom.len(), Vec::new());
-        for ci in cons_start..self.cons.len() {
-            for var in self.cons[ci].vars() {
-                let list = &mut self.watch[var as usize];
-                if list.last() != Some(&(ci as u32)) {
-                    list.push(ci as u32);
+        let watch = &mut self.watch;
+        for (ci, c) in self.cons.iter().enumerate().skip(cons_start) {
+            let ci = ci as u32;
+            c.for_each_var(|var| {
+                let list = &mut watch[var as usize];
+                if list.last() != Some(&ci) {
+                    list.push(ci);
                 }
-            }
+            });
         }
     }
 }
