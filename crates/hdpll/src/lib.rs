@@ -73,13 +73,12 @@ pub mod supervise;
 
 pub use crate::engine::EngineStats;
 pub use crate::session::{
-    Assumption, Certified, Session, SessionCert, SessionFallback, SupervisedQuery,
-    SupervisedSession,
+    Assumption, Certified, Session, SessionCert, SupervisedQuery, SupervisedSession,
 };
 pub use crate::solver::{HdpllResult, LearningMode, Limits, Solver, SolverConfig, SolverStats};
 pub use crate::supervise::{
-    CancelToken, Certification, FaultPlan, HdpllStage, PreprocSummary, SolveStage, StageOutcome,
-    StageReport, StageRun, SupervisedResult, Supervisor,
+    panic_message, CancelToken, Certification, FaultPlan, HdpllStage, PreprocSummary, SolveStage,
+    StageOutcome, StageReport, StageRun, SupervisedResult, Supervisor,
 };
 pub use crate::types::{
     AbortReason, ClauseDbConfig, DecisionStrategy, HLit, RestartMode, VarId,

@@ -46,7 +46,7 @@
 
 use std::collections::HashMap;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rtl_ir::simplify::{SignalMap, Simplifier, SimplifyStats};
 use rtl_ir::{eval, Netlist, SignalId};
@@ -61,7 +61,9 @@ use crate::predlearn;
 use crate::prooflog::ProofLog;
 use crate::search::{self, flush_search_phases, Outcome, Search, SEARCH_PHASES};
 use crate::solver::{HdpllResult, LearningMode, Limits, SolverConfig, SolverStats};
-use crate::supervise::{CancelToken, FaultPlan};
+use crate::supervise::{
+    run_rung, CancelToken, Certification, FaultPlan, StageOutcome, StageReport,
+};
 use crate::types::{AbortReason, DecisionStrategy, VarId};
 
 /// One assumption of an incremental query: `signal = value`, pinned
@@ -547,12 +549,7 @@ impl Session {
             Outcome::AssumptionConflict => self.certify_unsat(&asm),
             Outcome::Unknown(reason) => {
                 self.sweep = true;
-                Certified {
-                    result: HdpllResult::Unknown,
-                    cert: SessionCert::Uncertified,
-                    proof: None,
-                    abort: Some(reason),
-                }
+                Certified::unknown(Some(reason))
             }
         };
         self.obs.profile_exit();
@@ -661,16 +658,6 @@ fn charge<T>(work: &mut CheckReport, c: &mut Checker, f: impl FnOnce(&mut Checke
     out
 }
 
-/// Per-query record of a rung the [`SupervisedSession`] gave up on.
-#[derive(Clone, Debug)]
-pub struct SessionFallback {
-    /// The rung's label.
-    pub rung: String,
-    /// Why it was abandoned (panic message, certification failure,
-    /// abort reason).
-    pub why: String,
-}
-
 /// The outcome of one [`SupervisedSession::solve`] call.
 #[derive(Clone, Debug)]
 pub struct SupervisedQuery {
@@ -678,10 +665,42 @@ pub struct SupervisedQuery {
     /// answer failed certification is skipped, not reported).
     pub certified: Certified,
     /// Label of the rung whose answer was accepted; `None` when every
-    /// rung was exhausted.
+    /// rung was exhausted or the query was cancelled.
     pub answered_by: Option<String>,
-    /// Rungs abandoned while answering this query, in ladder order.
-    pub fallbacks: Vec<SessionFallback>,
+    /// One report per rung attempted while answering this query, in
+    /// ladder order: the rungs abandoned, then the answering one.
+    pub reports: Vec<StageReport>,
+}
+
+impl Certified {
+    /// An Unknown verdict, stopped for `abort`.
+    fn unknown(abort: Option<AbortReason>) -> Self {
+        Certified {
+            result: HdpllResult::Unknown,
+            cert: SessionCert::Uncertified,
+            proof: None,
+            abort,
+        }
+    }
+
+    /// How a supervised ladder judges this answer of a rung: an Unsat
+    /// must be proof-checked, unless the rung logs no proofs
+    /// (`proof_logged` off), when an uncertified Unsat is the best it
+    /// can do and is accepted.
+    fn outcome(&self, proof_logged: bool) -> StageOutcome {
+        let rejected = |detail: &str| StageOutcome::CertFailed {
+            detail: detail.to_string(),
+        };
+        let unsat = |certification| StageOutcome::Unsat { certification };
+        match (&self.result, self.cert) {
+            (HdpllResult::Sat(_), SessionCert::ModelVerified) => StageOutcome::CertifiedSat,
+            (HdpllResult::Sat(_), _) => rejected("SAT model rejected by the simulator"),
+            (HdpllResult::Unsat, SessionCert::ProofChecked) => unsat(Certification::Proof),
+            (HdpllResult::Unsat, _) if !proof_logged => unsat(Certification::Uncertified),
+            (HdpllResult::Unsat, _) => rejected("UNSAT proof rejected or missing"),
+            (HdpllResult::Unknown, _) => StageOutcome::unknown(self.abort),
+        }
+    }
 }
 
 /// A degradation ladder over incremental sessions: the sessioned
@@ -695,7 +714,9 @@ pub struct SupervisedQuery {
 /// is sticky: later queries start at the degraded rung, mirroring
 /// [`crate::Supervisor`]'s one-way ladder. A caught panic can only have
 /// poisoned engine state, never the netlist (plain data), so the fresh
-/// session is built from an uncorrupted problem.
+/// session is built from an uncorrupted problem. Each rung attempt runs
+/// through the same rung runner as a [`crate::Supervisor`] stage and is
+/// reported as a [`StageReport`] in the same outcome vocabulary.
 pub struct SupervisedSession {
     netlist: Netlist,
     rungs: Vec<(String, SolverConfig)>,
@@ -776,7 +797,7 @@ impl SupervisedSession {
     /// Replaces the per-query wall-clock budget on every rung (and the
     /// live session). A serve loop calls this before each query so one
     /// cached session honours each request's own deadline.
-    pub fn set_timeout(&mut self, max_time: Option<std::time::Duration>) {
+    pub fn set_timeout(&mut self, max_time: Option<Duration>) {
         for (_, config) in &mut self.rungs {
             config.limits.max_time = max_time;
         }
@@ -854,117 +875,93 @@ impl SupervisedSession {
         assumptions: &[Assumption],
         cancel: &CancelToken,
     ) -> SupervisedQuery {
-        let mut fallbacks = Vec::new();
+        let mut reports = Vec::new();
         loop {
-            let (label, config) = self.rungs[self.active].clone();
-            if self.session.is_none() {
-                let netlist = &self.netlist;
-                let obs = self.obs.clone();
-                let preproc = self.preproc;
-                let faults = std::mem::take(&mut self.faults);
-                let built = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    let mut s = Session::with_preproc(netlist, config, preproc);
-                    s.set_obs(obs);
-                    s.inject_faults(faults);
-                    s
-                }));
-                match built {
-                    Ok(s) => self.session = Some(s),
-                    Err(payload) => {
-                        let why = format!(
-                            "session construction panicked: {}",
-                            crate::supervise::panic_message(&payload)
-                        );
-                        if !self.degrade(&label, why, &mut fallbacks) {
-                            return give_up(fallbacks);
-                        }
-                        continue;
-                    }
+            let (report, certified) = self.attempt(assumptions, cancel);
+            let accepted = report.outcome.is_accepted();
+            reports.push(report);
+            match certified {
+                Some(certified) if accepted => {
+                    return SupervisedQuery {
+                        certified,
+                        answered_by: Some(self.active_rung().to_string()),
+                        reports,
+                    };
                 }
+                // A cancelled query is the caller's doing, not the
+                // rung's failure: report Unknown, keep the rung.
+                Some(certified) if cancel.is_cancelled() => {
+                    return SupervisedQuery {
+                        certified: Certified::unknown(certified.abort),
+                        answered_by: None,
+                        reports,
+                    };
+                }
+                _ => {}
             }
-            let session = self.session.as_mut().expect("just built");
-            let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                session.solve_cancellable(assumptions, cancel)
-            }));
-            let why = match run {
-                Err(payload) => format!(
-                    "solve panicked: {}",
-                    crate::supervise::panic_message(&payload)
-                ),
-                Ok(certified) => match accept(&label, &config, &certified) {
-                    Ok(()) => {
-                        return SupervisedQuery {
-                            certified,
-                            answered_by: Some(label),
-                            fallbacks,
-                        };
-                    }
-                    // A cancelled query is the caller's doing, not the
-                    // rung's failure: report Unknown, keep the rung.
-                    Err(_) if cancel.is_cancelled() => {
-                        return SupervisedQuery {
-                            certified,
-                            answered_by: None,
-                            fallbacks,
-                        };
-                    }
-                    Err(why) => why,
-                },
-            };
-            if !self.degrade(&label, why, &mut fallbacks) {
-                return give_up(fallbacks);
+            if !self.degrade() {
+                return SupervisedQuery {
+                    certified: Certified::unknown(None),
+                    answered_by: None,
+                    reports,
+                };
             }
         }
+    }
+
+    /// Runs the active rung on one query through the ladder's rung
+    /// runner. The rung's session is built here when there is none (at
+    /// the first query, or afresh after a degradation), so a panic in
+    /// the build fails the rung like a panic in the query.
+    fn attempt(
+        &mut self,
+        assumptions: &[Assumption],
+        cancel: &CancelToken,
+    ) -> (StageReport, Option<Certified>) {
+        let SupervisedSession {
+            netlist,
+            rungs,
+            active,
+            session,
+            obs,
+            preproc,
+            faults,
+            ..
+        } = self;
+        let (label, config) = &rungs[*active];
+        run_rung(obs, label, || {
+            let session = session.get_or_insert_with(|| {
+                let mut s = Session::with_preproc(netlist, *config, *preproc);
+                s.set_obs(obs.clone());
+                s.inject_faults(std::mem::take(faults));
+                s
+            });
+            let first = session.queries() == 0;
+            let search_before = session.stats().search_time;
+            let certified = session.solve_cancellable(assumptions, cancel);
+            // A session's statistics are cumulative: the query's own
+            // search time is their growth, and the one-time predicate
+            // pass belongs to the session's first query.
+            let mut stats = *session.stats();
+            stats.search_time = stats.search_time.saturating_sub(search_before);
+            if !first {
+                stats.learn_time = Duration::ZERO;
+            }
+            (certified.outcome(config.proof), Some(stats), certified)
+        })
     }
 
     /// Drops the discredited session and moves to the next rung;
     /// `false` when the ladder is exhausted (the last rung stays
     /// active for future queries — its replacement is rebuilt fresh).
-    fn degrade(&mut self, label: &str, why: String, fallbacks: &mut Vec<SessionFallback>) -> bool {
+    fn degrade(&mut self) -> bool {
         self.session = None;
         self.degradations += 1;
-        fallbacks.push(SessionFallback {
-            rung: label.to_string(),
-            why,
-        });
         if self.active + 1 < self.rungs.len() {
             self.active += 1;
             true
         } else {
             false
         }
-    }
-}
-
-/// Why a rung's answer cannot be accepted, or `Ok(())` if it can. With
-/// proof logging on, an Unsat must be proof-checked; with it off,
-/// Uncertified Unsat is the best the rung can do and is accepted.
-fn accept(label: &str, config: &SolverConfig, certified: &Certified) -> Result<(), String> {
-    match (&certified.result, certified.cert) {
-        (HdpllResult::Sat(_), SessionCert::ModelVerified) => Ok(()),
-        (HdpllResult::Sat(_), _) => Err(format!("{label}: SAT model rejected by the simulator")),
-        (HdpllResult::Unsat, SessionCert::ProofChecked) => Ok(()),
-        (HdpllResult::Unsat, _) if !config.proof => Ok(()),
-        (HdpllResult::Unsat, _) => Err(format!("{label}: UNSAT proof rejected or missing")),
-        (HdpllResult::Unknown, _) => {
-            let reason = certified
-                .abort
-                .map_or_else(|| "budget exhausted".to_string(), |r| r.to_string());
-            Err(format!("{label}: unknown ({reason})"))
-        }
-    }
-}
-
-/// The ladder ran dry: an Unknown verdict with the full fallback trail.
-fn give_up(fallbacks: Vec<SessionFallback>) -> SupervisedQuery {
-    SupervisedQuery {
-        certified: Certified {
-            result: HdpllResult::Unknown,
-            cert: SessionCert::Uncertified,
-            proof: None,
-            abort: None,
-        },
-        answered_by: None,
-        fallbacks,
     }
 }

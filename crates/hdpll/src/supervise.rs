@@ -29,14 +29,16 @@
 //!   supervisor falls through a configurable stage ladder (e.g.
 //!   HDPLL+S+P → HDPLL activity → eager bit-blast) with weighted
 //!   per-stage budget splits, and reports which stage answered and what
-//!   happened to every stage it tried.
+//!   happened to every stage it tried. Each stage attempt runs through
+//!   the rung runner [`SupervisedSession`](crate::SupervisedSession)
+//!   shares, and is reported as a [`StageReport`].
 //! * **Fault injection** — a test-only [`FaultPlan`] hook corrupts the
 //!   engine in targeted ways (flip a learned clause, drop a narrowing,
 //!   raise a spurious conflict, stall propagation) so the test suite
 //!   can prove certification catches each corruption and the ladder
 //!   degrades instead of crashing or hanging.
 
-use std::collections::HashMap;
+use std::any::Any;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -49,6 +51,7 @@ use rtl_obs::ObsHandle;
 use rtl_proof::{Checker, Proof};
 
 use crate::solver::{HdpllResult, Solver, SolverConfig, SolverStats};
+use crate::types::AbortReason;
 
 /// A shareable cancellation flag.
 ///
@@ -316,6 +319,23 @@ impl StageOutcome {
     pub fn is_cert_failure(&self) -> bool {
         matches!(self, StageOutcome::CertFailed { .. })
     }
+
+    /// `true` when a ladder accepts the answer as its verdict (a
+    /// certified `Sat`, or an `Unsat` however it was certified); every
+    /// other outcome falls through to the next rung.
+    #[must_use]
+    pub fn is_accepted(&self) -> bool {
+        matches!(
+            self,
+            StageOutcome::CertifiedSat | StageOutcome::Unsat { .. }
+        )
+    }
+
+    /// The outcome of a run that gave up, named by its abort reason.
+    pub(crate) fn unknown(abort: Option<AbortReason>) -> Self {
+        let reason = abort.map_or_else(|| "budget exhausted".to_string(), |r| r.to_string());
+        StageOutcome::Unknown { reason }
+    }
 }
 
 impl fmt::Display for StageOutcome {
@@ -338,17 +358,22 @@ impl fmt::Display for StageOutcome {
     }
 }
 
-/// Per-stage record of a supervised solve.
+/// What one rung attempt of a degradation ladder did: a stage of a
+/// [`Supervisor`] solve, or a rung of a
+/// [`SupervisedSession`](crate::SupervisedSession) query.
 #[derive(Clone, Debug)]
 pub struct StageReport {
-    /// The stage's [`SolveStage::name`].
+    /// The stage's [`SolveStage::name`] (or the session rung's label).
     pub stage: String,
     /// What the stage concluded (or failed to).
     pub outcome: StageOutcome,
     /// Wall-clock time the stage consumed (including certification of
     /// its own answer).
     pub time: Duration,
-    /// Solver statistics, when the stage exposes them.
+    /// The attempt's own solver statistics, when the stage exposes
+    /// them. For a session rung, search time, learning time and the
+    /// abort reason are the query's; engine counters and peaks are the
+    /// session's running totals.
     pub stats: Option<SolverStats>,
 }
 
@@ -448,7 +473,7 @@ impl SupervisedResult {
 pub struct Supervisor {
     stages: Vec<(Box<dyn SolveStage>, f64)>,
     budget: Option<Duration>,
-    unsat_check: Option<(Box<dyn SolveStage>, Duration)>,
+    unsat_check: UnsatCheck,
     cancel: CancelToken,
     obs: ObsHandle,
     preproc: bool,
@@ -639,11 +664,16 @@ impl Supervisor {
         let deadline = self.budget.map(|b| Instant::now() + b);
         let cancel = self.cancel.clone();
         let obs = self.obs.clone();
-        for (stage, _) in &mut self.stages {
+        let Supervisor {
+            stages,
+            unsat_check,
+            ..
+        } = self;
+        for (stage, _) in stages.iter_mut() {
             stage.install_obs(&obs);
         }
         let mut reports = Vec::new();
-        let n_stages = self.stages.len();
+        let n_stages = stages.len();
 
         for i in 0..n_stages {
             if cancel.is_cancelled() {
@@ -657,186 +687,41 @@ impl Supervisor {
                 if i + 1 == n_stages {
                     return remaining;
                 }
-                let total: f64 = self.stages[i..].iter().map(|(_, w)| *w).sum();
+                let total: f64 = stages[i..].iter().map(|(_, w)| *w).sum();
                 if total > 0.0 {
-                    remaining.mul_f64(self.stages[i].1 / total)
+                    remaining.mul_f64(stages[i].1 / total)
                 } else {
                     remaining
                 }
             });
-            if let Some(s) = slice {
-                if s.is_zero() {
-                    break;
-                }
+            if slice.is_some_and(|s| s.is_zero()) {
+                break;
             }
 
-            let start = Instant::now();
-            let stage = &mut self.stages[i].0;
+            let stage = &mut stages[i].0;
             let name = stage.name().to_string();
             obs.stage_start(&name);
-            // The stage span wraps the (possibly panicking) run; unwind
-            // back to this depth afterwards so a panic inside the stage
-            // cannot leave the profiler's span stack unbalanced.
-            let span_depth = obs.profile_depth();
-            obs.profile_enter(&name);
-            let run = catch_unwind(AssertUnwindSafe(|| stage.run(netlist, goal, slice, &cancel)));
-            obs.profile_unwind(span_depth);
-            match run {
-                Err(payload) => push_report(&obs, &mut reports, StageReport {
-                    stage: name,
-                    outcome: StageOutcome::Panicked {
-                        detail: panic_message(&payload),
-                    },
-                    time: start.elapsed(),
-                    stats: None,
-                }),
-                Ok(StageRun {
-                    result: HdpllResult::Sat(model),
-                    stats,
-                    ..
-                }) => {
-                    // When the ladder runs on a preprocessed netlist,
-                    // translate the model back and certify it against
-                    // the *original* — the verdict then carries the
-                    // translated model, and a simplifier bug surfaces
-                    // as a certification failure, never a wrong answer.
-                    obs.profile_enter("certify");
-                    let (model, failure) = match original {
-                        Some((orig, orig_goal, map)) => {
-                            let translated = map.translate_model(orig, &model);
-                            let failure = certify_model(orig, &translated, orig_goal);
-                            (translated, failure)
-                        }
-                        None => {
-                            let failure = certify_model(netlist, &model, goal);
-                            (model, failure)
-                        }
-                    };
-                    obs.profile_exit();
-                    match failure {
-                        None => {
-                            push_report(&obs, &mut reports, StageReport {
-                                stage: name.clone(),
-                                outcome: StageOutcome::CertifiedSat,
-                                time: start.elapsed(),
-                                stats,
-                            });
-                            return SupervisedResult {
-                                verdict: HdpllResult::Sat(model),
-                                answered_by: Some(name),
-                                reports,
-                                proof: None,
-                                preproc: None,
-                            };
-                        }
-                        Some(why) => push_report(&obs, &mut reports, StageReport {
-                            stage: name,
-                            outcome: StageOutcome::CertFailed {
-                                detail: format!("SAT model rejected: {why}"),
-                            },
-                            time: start.elapsed(),
-                            stats,
-                        }),
-                    }
-                }
-                Ok(StageRun {
-                    result: HdpllResult::Unsat,
-                    stats,
+            let (report, answer) = run_rung(&obs, &name, || {
+                // The stage span wraps the run alone; certifying its
+                // answer is profiled as `certify`.
+                obs.profile_enter(&name);
+                let run = stage.run(netlist, goal, slice, &cancel);
+                obs.profile_exit();
+                judge(run, (netlist, goal), original, unsat_check, &cancel, &obs)
+            });
+            // The trace mirrors the report wall-clock-free: the time
+            // lives in the report and the stats-json record.
+            obs.stage_end(&report.stage, &report.outcome.to_string());
+            let accepted = report.outcome.is_accepted();
+            reports.push(report);
+            if let (true, Some((verdict, proof))) = (accepted, answer) {
+                return SupervisedResult {
+                    verdict,
+                    answered_by: Some(name),
+                    reports,
                     proof,
-                }) => {
-                    // Proof-first certification: an independently checked
-                    // proof is the strongest certificate and costs no
-                    // extra solve. A *complete* proof that fails the
-                    // check discredits the stage outright — it claimed a
-                    // full derivation and the derivation is wrong.
-                    let check = {
-                        obs.profile_enter("certify");
-                        let check = certify_proof(netlist, goal, proof);
-                        obs.profile_exit();
-                        check
-                    };
-                    match check {
-                        ProofCheck::Valid(checked) => {
-                            push_report(&obs, &mut reports, StageReport {
-                                stage: name.clone(),
-                                outcome: StageOutcome::Unsat {
-                                    certification: Certification::Proof,
-                                },
-                                time: start.elapsed(),
-                                stats,
-                            });
-                            return SupervisedResult {
-                                verdict: HdpllResult::Unsat,
-                                answered_by: Some(name),
-                                reports,
-                                proof: Some(checked),
-                                preproc: None,
-                            };
-                        }
-                        ProofCheck::Invalid(why) => push_report(&obs, &mut reports, StageReport {
-                            stage: name,
-                            outcome: StageOutcome::CertFailed {
-                                detail: format!("UNSAT proof rejected: {why}"),
-                            },
-                            time: start.elapsed(),
-                            stats,
-                        }),
-                        ProofCheck::Absent => {
-                            let cross = {
-                                obs.profile_enter("certify");
-                                let cross = self.cross_check_unsat(netlist, goal, &cancel);
-                                obs.profile_exit();
-                                cross
-                            };
-                            match cross {
-                                UnsatCheck::Refuted(why) => push_report(&obs, &mut reports, StageReport {
-                                    stage: name,
-                                    outcome: StageOutcome::CertFailed {
-                                        detail: format!("UNSAT refuted: {why}"),
-                                    },
-                                    time: start.elapsed(),
-                                    stats,
-                                }),
-                                verdict @ (UnsatCheck::Confirmed | UnsatCheck::Unchecked) => {
-                                    let certification =
-                                        if matches!(verdict, UnsatCheck::Confirmed) {
-                                            Certification::CrossChecked
-                                        } else {
-                                            Certification::Uncertified
-                                        };
-                                    push_report(&obs, &mut reports, StageReport {
-                                        stage: name.clone(),
-                                        outcome: StageOutcome::Unsat { certification },
-                                        time: start.elapsed(),
-                                        stats,
-                                    });
-                                    return SupervisedResult {
-                                        verdict: HdpllResult::Unsat,
-                                        answered_by: Some(name),
-                                        reports,
-                                        proof: None,
-                                        preproc: None,
-                                    };
-                                }
-                            }
-                        }
-                    }
-                }
-                Ok(StageRun {
-                    result: HdpllResult::Unknown,
-                    stats,
-                    ..
-                }) => {
-                    let reason = stats
-                        .and_then(|s| s.abort)
-                        .map_or_else(|| "budget exhausted".to_string(), |r| r.to_string());
-                    push_report(&obs, &mut reports, StageReport {
-                        stage: name,
-                        outcome: StageOutcome::Unknown { reason },
-                        time: start.elapsed(),
-                        stats,
-                    });
-                }
+                    preproc: None,
+                };
             }
         }
 
@@ -848,96 +733,173 @@ impl Supervisor {
             preproc: None,
         }
     }
+}
 
-    /// Cross-checks an `Unsat` claim with the configured checker stage.
-    fn cross_check_unsat(
-        &mut self,
-        netlist: &Netlist,
-        goal: SignalId,
-        cancel: &CancelToken,
-    ) -> UnsatCheck {
-        let Some((checker, budget)) = self.unsat_check.as_mut() else {
-            return UnsatCheck::Unchecked;
-        };
-        let budget = *budget;
-        let run = catch_unwind(AssertUnwindSafe(|| {
-            checker.run(netlist, goal, Some(budget), cancel)
-        }));
-        match run.map(|r| r.result) {
-            Ok(HdpllResult::Sat(counter)) => {
-                // Only a counter-model the simulator certifies can
-                // overturn the verdict — an uncertified one just means
-                // the checker is broken too.
-                if certify_model(netlist, &counter, goal).is_none() {
-                    UnsatCheck::Refuted("cross-check found a certified counter-model".to_string())
-                } else {
-                    UnsatCheck::Unchecked
+/// A configured `Unsat` cross-check: the checker stage and its budget.
+type UnsatCheck = Option<(Box<dyn SolveStage>, Duration)>;
+
+/// Judges one stage run before the ladder may accept it: a `Sat` model
+/// is re-simulated, an `Unsat` certified by [`certify_unsat`]. Returns
+/// the outcome, the run's statistics, and the verdict (with its checked
+/// proof) the ladder reports if it accepts the outcome.
+fn judge(
+    run: StageRun,
+    (netlist, goal): (&Netlist, SignalId),
+    original: Option<(&Netlist, SignalId, &SignalMap)>,
+    unsat_check: &mut UnsatCheck,
+    cancel: &CancelToken,
+    obs: &ObsHandle,
+) -> (StageOutcome, Option<SolverStats>, (HdpllResult, Option<Proof>)) {
+    let StageRun {
+        result,
+        stats,
+        proof,
+    } = run;
+    let rejected = |detail| (StageOutcome::CertFailed { detail }, (HdpllResult::Unknown, None));
+    let (outcome, answer) = match result {
+        HdpllResult::Sat(model) => {
+            // When the ladder runs on a preprocessed netlist, translate
+            // the model back and certify it against the *original* —
+            // the verdict then carries the translated model, and a
+            // simplifier bug surfaces as a certification failure, never
+            // a wrong answer.
+            obs.profile_enter("certify");
+            let (model, (netlist, goal)) = match original {
+                Some((orig, orig_goal, map)) => {
+                    (map.translate_model(orig, &model), (orig, orig_goal))
                 }
+                None => (model, (netlist, goal)),
+            };
+            let failure = eval::model_failure(netlist, &model, goal);
+            obs.profile_exit();
+            match failure {
+                None => (StageOutcome::CertifiedSat, (HdpllResult::Sat(model), None)),
+                Some(why) => rejected(format!("SAT model rejected: {why}")),
             }
-            Ok(HdpllResult::Unsat) => UnsatCheck::Confirmed,
-            Ok(HdpllResult::Unknown) | Err(_) => UnsatCheck::Unchecked,
+        }
+        HdpllResult::Unsat => {
+            match certify_unsat(proof, (netlist, goal), unsat_check, cancel, obs) {
+                Ok((certification, proof)) => (
+                    StageOutcome::Unsat { certification },
+                    (HdpllResult::Unsat, proof),
+                ),
+                Err(why) => rejected(why),
+            }
+        }
+        HdpllResult::Unknown => (
+            StageOutcome::unknown(stats.and_then(|s| s.abort)),
+            (HdpllResult::Unknown, None),
+        ),
+    };
+    (outcome, stats, answer)
+}
+
+/// Certifies a stage's `Unsat` claim, proof first: the stage's proof,
+/// re-checked from scratch by the independent [`rtl_proof`] checker, is
+/// the strongest certificate and costs no extra solve. A stage is a
+/// [`SolveStage`] like any other, so a complete proof is only its claim
+/// until this check accepts it; a complete proof the check rejects
+/// discredits the stage outright (`Err`). No proof, or one with gaps,
+/// certifies nothing and discredits nothing: the optional cross-check
+/// decides instead.
+fn certify_unsat(
+    proof: Option<Proof>,
+    (netlist, goal): (&Netlist, SignalId),
+    unsat_check: &mut UnsatCheck,
+    cancel: &CancelToken,
+    obs: &ObsHandle,
+) -> Result<(Certification, Option<Proof>), String> {
+    obs.profile_enter("certify");
+    let check = proof
+        .filter(Proof::is_complete)
+        .map(|p| Checker::check_goal(netlist, goal, &p).map(|_| p));
+    obs.profile_exit();
+    match check {
+        Some(Ok(checked)) => Ok((Certification::Proof, Some(checked))),
+        Some(Err(e)) => Err(format!("UNSAT proof rejected: {e}")),
+        None => {
+            obs.profile_enter("certify");
+            let cross = cross_check_unsat(unsat_check, netlist, goal, cancel);
+            obs.profile_exit();
+            cross.map(|certification| (certification, None))
         }
     }
 }
 
-/// Appends a stage report, mirroring it into the trace as a
-/// `stage_end` event (wall-clock-free; the span *time* lives in the
-/// report and the stats-json record, keeping traces deterministic).
-fn push_report(obs: &ObsHandle, reports: &mut Vec<StageReport>, report: StageReport) {
-    obs.stage_end(&report.stage, &report.outcome.to_string());
-    reports.push(report);
-}
-
-/// Result of checking a stage's Unsat proof.
-enum ProofCheck {
-    /// A complete proof the independent checker accepted.
-    Valid(Proof),
-    /// A complete proof the checker rejected — the stage is lying or
-    /// broken.
-    Invalid(String),
-    /// No proof, or an incomplete one (gaps): certifies nothing, but
-    /// does not by itself discredit the verdict.
-    Absent,
-}
-
-/// Re-checks a stage's proof from scratch with the independent
-/// [`rtl_proof`] checker.
-fn certify_proof(netlist: &Netlist, goal: SignalId, proof: Option<Proof>) -> ProofCheck {
-    let Some(proof) = proof else {
-        return ProofCheck::Absent;
+/// Cross-checks an `Unsat` claim with the configured checker stage.
+/// Only a counter-model the simulator certifies refutes the claim
+/// (`Err`) — an uncertified one just means the checker is broken too;
+/// agreement cross-checks it; anything else (no checker, unknown, a
+/// panic) leaves it uncertified.
+fn cross_check_unsat(
+    unsat_check: &mut UnsatCheck,
+    netlist: &Netlist,
+    goal: SignalId,
+    cancel: &CancelToken,
+) -> Result<Certification, String> {
+    let Some((checker, budget)) = unsat_check.as_mut() else {
+        return Ok(Certification::Uncertified);
     };
-    if !proof.is_complete() {
-        return ProofCheck::Absent;
+    let budget = *budget;
+    let run = catch_unwind(AssertUnwindSafe(|| {
+        checker.run(netlist, goal, Some(budget), cancel)
+    }));
+    match run.map(|r| r.result) {
+        Ok(HdpllResult::Sat(counter)) if eval::model_failure(netlist, &counter, goal).is_none() => {
+            Err("UNSAT refuted: cross-check found a certified counter-model".to_string())
+        }
+        Ok(HdpllResult::Unsat) => Ok(Certification::CrossChecked),
+        _ => Ok(Certification::Uncertified),
     }
-    match Checker::check_goal(netlist, goal, &proof) {
-        Ok(_) => ProofCheck::Valid(proof),
-        Err(e) => ProofCheck::Invalid(e.to_string()),
-    }
 }
 
-/// Result of the optional `Unsat` cross-check.
-enum UnsatCheck {
-    /// The checker also concluded `Unsat`.
-    Confirmed,
-    /// The checker produced a certified counter-model.
-    Refuted(String),
-    /// No checker configured, or it was inconclusive.
-    Unchecked,
+/// Runs one rung attempt of a degradation ladder — a [`Supervisor`]
+/// stage or a [`SupervisedSession`](crate::SupervisedSession) rung —
+/// and reports it. `attempt` does the rung's work and judges its
+/// answer: it returns the outcome, the attempt's own statistics, and
+/// the answer the ladder reports if [`StageOutcome::is_accepted`]
+/// holds. A panic anywhere in the attempt is caught here and reported
+/// as [`StageOutcome::Panicked`] with its message and no answer. The
+/// profiler is put back at its entry depth afterwards, so a span the
+/// attempt left open cannot swallow what is profiled next; the runner
+/// opens no span of its own.
+pub(crate) fn run_rung<T>(
+    obs: &ObsHandle,
+    stage: &str,
+    attempt: impl FnOnce() -> (StageOutcome, Option<SolverStats>, T),
+) -> (StageReport, Option<T>) {
+    let start = Instant::now();
+    let depth = obs.profile_depth();
+    let run = catch_unwind(AssertUnwindSafe(attempt));
+    obs.profile_unwind(depth);
+    let (outcome, stats, answer) = match run {
+        Ok((outcome, stats, answer)) => (outcome, stats, Some(answer)),
+        Err(payload) => (
+            StageOutcome::Panicked {
+                detail: panic_message(payload),
+            },
+            None,
+            None,
+        ),
+    };
+    let report = StageReport {
+        stage: stage.to_string(),
+        outcome,
+        time: start.elapsed(),
+        stats,
+    };
+    (report, answer)
 }
 
-/// `None` when the simulator certifies `model ⊨ goal`; otherwise a
-/// description of why it does not.
-fn certify_model(netlist: &Netlist, model: &HashMap<SignalId, i64>, goal: SignalId) -> Option<String> {
-    eval::model_failure(netlist, model, goal)
-}
-
-/// Best-effort extraction of a panic payload as text.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// The message of a caught panic (`panic!` with a literal or a
+/// formatted string), from the payload `catch_unwind` returned.
+#[must_use]
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => payload.downcast_ref::<&str>().map_or_else(
+            || "non-string panic payload".to_string(),
+            |message| (*message).to_string(),
+        ),
     }
 }

@@ -1051,7 +1051,7 @@ fn supervised_session_answers_and_degrades() {
     assert!(q.certified.result.is_unsat());
     assert_eq!(q.certified.cert, SessionCert::ProofChecked);
     assert_eq!(q.answered_by.as_deref(), Some("hdpll-sp"));
-    assert!(q.fallbacks.is_empty());
+    assert_eq!(q.reports.len(), 1);
     assert_eq!(ladder.degradations(), 0);
 
     // A rung whose per-query budget is instantly exhausted degrades to
@@ -1069,13 +1069,47 @@ fn supervised_session_answers_and_degrades() {
     let q = ladder.solve(&[Assumption::yes(goal)]);
     assert!(q.certified.result.is_unsat());
     assert_eq!(q.answered_by.as_deref(), Some("hdpll"));
-    assert_eq!(q.fallbacks.len(), 1);
-    assert_eq!(q.fallbacks[0].rung, "starved");
+    assert_eq!(q.reports.len(), 2);
+    assert_eq!(q.reports[0].stage, "starved");
     // Degradation is sticky: the next query starts on the healthy rung.
     assert_eq!(ladder.active_rung(), "hdpll");
     let q = ladder.solve(&[Assumption::no(goal)]);
     assert!(q.certified.result.is_sat());
-    assert!(q.fallbacks.is_empty());
+    assert_eq!(q.reports.len(), 1);
+}
+
+/// A query whose rungs all panic leaves no profiler span open: the next
+/// query, and the setup of the session rebuilt for it, profile at the
+/// top of the tree, not under the panicked query's `query` span.
+#[test]
+fn panicked_session_query_leaves_no_profile_span_open() {
+    use rtl_obs::{ObsConfig, ObsHandle};
+    let (_, mut n, goal) = unsat_instances().remove(1);
+    let word = n.input_word("word", 4).unwrap();
+    let obs = ObsHandle::armed(ObsConfig {
+        profile: true,
+        ..ObsConfig::default()
+    });
+    let mut ladder = crate::SupervisedSession::new(&n);
+    ladder.set_obs(obs.clone());
+    // An assumption on a word-typed signal panics in every rung.
+    let q = ladder.solve(&[Assumption::yes(word)]);
+    assert!(q.answered_by.is_none());
+    assert_eq!(q.reports.len(), 2);
+    for r in &q.reports {
+        let panicked = matches!(&r.outcome,
+            crate::StageOutcome::Panicked { detail } if detail.contains("must be Boolean"));
+        assert!(panicked, "{r:?}");
+    }
+    let q = ladder.solve(&[Assumption::yes(goal)]);
+    assert_eq!(q.certified.cert, SessionCert::ProofChecked);
+    let rows = obs.profile_snapshot().expect("profiled").rows;
+    let paths: Vec<&str> = rows.iter().map(|r| r.path.as_str()).collect();
+    assert!(paths.contains(&"query;search"), "{paths:?}");
+    for path in &paths {
+        let nested = ["query;query", "query;preproc", "query;compile", "query;predlearn"];
+        assert!(!nested.iter().any(|p| path.starts_with(p)), "{paths:?}");
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -24,9 +24,8 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rtl_hdpll::{
-    AbortReason, Assumption, CancelToken, Certification, FaultPlan, HdpllResult, Session,
-    SessionCert, SolverStats, StageOutcome, StageReport, SupervisedQuery, SupervisedResult,
-    SupervisedSession,
+    panic_message, AbortReason, Assumption, CancelToken, FaultPlan, HdpllResult, SessionCert,
+    StageOutcome, StageReport, SupervisedQuery, SupervisedResult, SupervisedSession,
 };
 use rtl_obs::{ObsConfig, ObsHandle};
 
@@ -214,85 +213,19 @@ fn content_key(engine: &str, fallback: bool, max_memory: Option<u64>, source: &s
 }
 
 /// Projects one session query into the [`SupervisedResult`] shape the
-/// record builder consumes: abandoned rungs become their own stage
-/// reports (panics preserved as such, so the retry logic sees them),
-/// the answering rung carries the query's statistics ([`query_stats`]).
-fn session_result(
-    q: SupervisedQuery,
-    elapsed: Duration,
-    stats: Option<SolverStats>,
-) -> SupervisedResult {
-    let mut reports: Vec<StageReport> = q
-        .fallbacks
-        .iter()
-        .map(|f| StageReport {
-            stage: f.rung.clone(),
-            outcome: if f.why.contains("panicked") {
-                StageOutcome::Panicked {
-                    detail: f.why.clone(),
-                }
-            } else if f.why.contains("rejected") {
-                StageOutcome::CertFailed {
-                    detail: f.why.clone(),
-                }
-            } else {
-                StageOutcome::Unknown {
-                    reason: f.why.clone(),
-                }
-            },
-            time: Duration::ZERO,
-            stats: None,
-        })
-        .collect();
-    if let Some(stage) = &q.answered_by {
-        let outcome = match (&q.certified.result, q.certified.cert) {
-            (HdpllResult::Sat(_), _) => StageOutcome::CertifiedSat,
-            (HdpllResult::Unsat, SessionCert::ProofChecked) => StageOutcome::Unsat {
-                certification: Certification::Proof,
-            },
-            (HdpllResult::Unsat, _) => StageOutcome::Unsat {
-                certification: Certification::Uncertified,
-            },
-            (HdpllResult::Unknown, _) => StageOutcome::Unknown {
-                reason: q
-                    .certified
-                    .abort
-                    .map_or_else(|| "budget exhausted".to_string(), |r| r.to_string()),
-            },
-        };
-        reports.push(StageReport {
-            stage: stage.clone(),
-            outcome,
-            time: elapsed,
-            stats,
-        });
-    }
+/// record builder consumes: the query's rung reports become its stages,
+/// and only a proof-checked Unsat carries its proof.
+fn session_result(q: SupervisedQuery) -> SupervisedResult {
     let proof = (q.certified.cert == SessionCert::ProofChecked)
         .then_some(q.certified.proof)
         .flatten();
     SupervisedResult {
         verdict: q.certified.result,
         answered_by: q.answered_by,
-        reports,
+        reports: q.reports,
         proof,
         preproc: None,
     }
-}
-
-/// The statistics of the query `session` just answered. A session's
-/// statistics are cumulative, so on a session that answered earlier
-/// requests the search time is its growth since `search_before`, and
-/// the one-time predicate pass belongs to the request that built the
-/// session (whose query is the session's first).
-fn query_stats(session: &Session, search_before: Option<Duration>) -> SolverStats {
-    let mut stats = *session.stats();
-    if session.queries() > 1 {
-        stats.search_time = stats
-            .search_time
-            .saturating_sub(search_before.unwrap_or_default());
-        stats.learn_time = Duration::ZERO;
-    }
-    stats
 }
 
 /// What one served stream did, returned to the caller after the final
@@ -434,15 +367,11 @@ fn solve_on_session(
         if handle.on() {
             ladder.set_obs(handle.clone());
         }
-        let search_before = ladder.stats().map(|s| s.search_time);
-        let start = Instant::now();
         let q = ladder.solve_cancellable(&[Assumption::yes(goal)], drain);
-        let elapsed = start.elapsed();
-        let stats = ladder.session().map(|s| query_stats(s, search_before));
         // Release the per-request telemetry sink; the cached ladder
         // must not keep the previous request's buffers alive.
         ladder.set_obs(ObsHandle::off());
-        session_result(q, elapsed, stats)
+        session_result(q)
     }));
     if outcome.is_err() {
         cache.remove(key);
@@ -650,7 +579,7 @@ fn process(
                 return line;
             }
             Err(panic) => {
-                let detail = panic_detail(&panic);
+                let detail = panic_message(panic);
                 if handle.on() {
                     handle.request_end(&req.id, "panic");
                 }
@@ -687,16 +616,6 @@ fn verdict_label(result: &SupervisedResult) -> &'static str {
         HdpllResult::Sat(_) => "SAT",
         HdpllResult::Unsat => "UNSAT",
         HdpllResult::Unknown => "UNKNOWN",
-    }
-}
-
-fn panic_detail(panic: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = panic.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = panic.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
     }
 }
 

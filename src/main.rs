@@ -817,12 +817,14 @@ fn solve_session(
         eprintln!("missing <goal-signal> (see --help)");
         return ExitCode::from(2);
     }
+    if args.dump_cnf.is_some() {
+        eprintln!("--dump-cnf writes the CNF of one goal; a goal list has none (see --help)");
+        return ExitCode::from(2);
+    }
     let opts = serve::SolveOptions {
         engine: args.engine.clone(),
         timeout: args.timeout,
-        check: args.check,
         fallback: args.fallback,
-        check_timeout: args.check_timeout,
         preproc: args.preproc,
         ..serve::SolveOptions::default()
     };
@@ -846,8 +848,8 @@ fn solve_session(
     for (name, &goal) in goal_names.iter().zip(goals) {
         let q = session.solve(&[Assumption::yes(goal)]);
         if args.stats {
-            for f in &q.fallbacks {
-                eprintln!("c goal {name}: rung {} abandoned: {}", f.rung, f.why);
+            for r in q.reports.iter().filter(|r| !r.outcome.is_accepted()) {
+                eprintln!("c goal {name}: rung {} abandoned: {}", r.stage, r.outcome);
             }
         }
         match &q.certified.result {
@@ -882,7 +884,7 @@ fn solve_session(
             }
             HdpllResult::Unknown => {
                 unknowns += 1;
-                if q.fallbacks.iter().any(|f| f.why.contains("rejected")) {
+                if q.reports.iter().any(|r| r.outcome.is_cert_failure()) {
                     cert_failures += 1;
                     outln!("goal {name}: UNKNOWN (certification failure)");
                 } else {
@@ -928,6 +930,12 @@ fn solve_session(
     }
     if args.stats_json.is_some() {
         eprintln!("c warning: --stats-json covers single-goal solves only; nothing written");
+    }
+    if args.check || args.check_timeout.is_some() {
+        eprintln!(
+            "c warning: --check covers single-goal solves only; \
+             every session UNSAT is proof-checked, so none was cross-checked"
+        );
     }
     outln!(
         "session: {sats} SAT, {unsats} UNSAT, {unknowns} unknown of {} goals",

@@ -532,3 +532,58 @@ fn closed_stdout_is_not_a_panic() {
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
     }
 }
+
+/// The golden multi-goal netlist and its goal list (`mid` SAT, `empty`
+/// and `over` UNSAT).
+fn multi_range() -> (std::path::PathBuf, &'static str) {
+    let dir = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden");
+    (dir.join("multi_range.rtl"), "mid,empty,over")
+}
+
+#[test]
+fn goal_list_rejects_dump_cnf() {
+    // A goal list has no one CNF to write: a usage error, as for an
+    // engine that cannot run sessions, and nothing is written.
+    let dir = std::env::temp_dir().join("rtlsat_cli_goal_list_cnf");
+    std::fs::create_dir_all(&dir).unwrap();
+    let cnf = dir.join("x.cnf");
+    let _ = std::fs::remove_file(&cnf);
+    let (netlist, goals) = multi_range();
+    let out = bin()
+        .arg(&netlist)
+        .arg(goals)
+        .args(["--check", "--dump-cnf", cnf.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("--dump-cnf"), "{stderr}");
+    assert!(!cnf.exists(), "no CNF may be written for a goal list");
+}
+
+#[test]
+fn goal_list_warns_that_check_is_single_goal() {
+    // Every accepted session UNSAT is already proof-checked, so a
+    // cross-check could never run: one warning line, same answers.
+    let (netlist, goals) = multi_range();
+    let plain = bin().arg(&netlist).arg(goals).output().expect("binary runs");
+    assert_eq!(plain.status.code(), Some(0));
+    for flags in [
+        &["--check"][..],
+        &["--check-timeout", "5"][..],
+        &["--check", "--check-timeout", "5"][..],
+    ] {
+        let out = bin()
+            .arg(&netlist)
+            .arg(goals)
+            .args(flags)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(0), "{flags:?}: {stderr}");
+        assert_eq!(out.stdout, plain.stdout, "{flags:?}");
+        let warnings: Vec<&str> = stderr.lines().filter(|l| l.starts_with("c warning:")).collect();
+        assert_eq!(warnings.len(), 1, "{flags:?}: {stderr}");
+        assert!(warnings[0].contains("--check"), "{flags:?}: {stderr}");
+    }
+}

@@ -353,6 +353,37 @@ fn retry_with_degradation_rescues_a_memory_abort() {
 }
 
 #[test]
+fn retry_with_degradation_rescues_a_memory_abort_on_the_session_cache() {
+    // The same memory-capped request as above, answered through a cached
+    // session ladder: its rung report carries the query's memory abort,
+    // so the request is retried on the next rung as on the default path.
+    let mut w = rtl_bench::hotpath::mux_search(10);
+    w.netlist.set_name(w.goal, "goal").expect("name the goal");
+    let dir = std::env::temp_dir().join("rtlsat_serve_retry_cached");
+    std::fs::create_dir_all(&dir).unwrap();
+    let file = dir.join("mux_search_10.rtl");
+    std::fs::write(&file, rtlsat::ir::text::to_text(&w.netlist)).unwrap();
+    let input = format!(
+        "{{\"id\":\"m1\",\"file\":\"{}\",\"goal\":\"goal\",\
+         \"engine\":\"hdpll\",\"timeout_ms\":60000,\"max_memory\":2048}}\n",
+        file.to_str().unwrap()
+    );
+    let (lines, exit) = run_serve(&input, &["--session-cache", "4"]);
+    assert_eq!(exit, 0);
+    let result = parse_record(&lines[0]);
+    assert_eq!(str_of(&result, "type"), "result");
+    assert_eq!(str_of(&result, "verdict"), "UNSAT", "{}", lines[0]);
+    assert_eq!(
+        result.get("attempts").and_then(Value::as_u64),
+        Some(2),
+        "the solve must have been retried on the next rung: {}",
+        lines[0]
+    );
+    let summary = parse_record(lines.last().expect("summary"));
+    assert_eq!(summary.get("retries").and_then(Value::as_u64), Some(1));
+}
+
+#[test]
 fn hard_drain_still_answers_in_flight_requests() {
     // A stalling 30 s solve is in flight when the stream shuts down;
     // the 1 s drain deadline expires, the shared cancel token trips,

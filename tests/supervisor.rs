@@ -9,8 +9,9 @@ use std::time::{Duration, Instant};
 use rtl_bench::hotpath;
 use rtlsat::baselines::EagerStage;
 use rtlsat::hdpll::{
-    CancelToken, Certification, FaultPlan, HdpllResult, HdpllStage, Limits, SolveStage, Solver,
-    SolverConfig, SolverStats, StageOutcome, StageRun, Supervisor,
+    Assumption, CancelToken, Certification, FaultPlan, HdpllResult, HdpllStage, Limits,
+    SolveStage, Solver, SolverConfig, SolverStats, StageOutcome, StageRun, SupervisedSession,
+    Supervisor,
 };
 use rtlsat::ir::{eval, Netlist, SignalId};
 use rtlsat::itc99::cases::{BmcCase, Circuit, Expected};
@@ -247,6 +248,69 @@ fn panicking_stage_is_absorbed() {
     ));
     assert!(result.verdict.is_sat());
     assert_eq!(result.answered_by.as_deref(), Some("hdpll-s"));
+}
+
+/// A stage that panics with a formatted message (a `String` payload,
+/// where [`PanicStage`]'s literal is a `&str`).
+struct FormattedPanicStage;
+
+impl SolveStage for FormattedPanicStage {
+    fn name(&self) -> &str {
+        "formatted-panicker"
+    }
+
+    fn run(
+        &mut self,
+        _netlist: &Netlist,
+        _goal: SignalId,
+        _max_time: Option<Duration>,
+        _cancel: &CancelToken,
+    ) -> StageRun {
+        panic!("injected stage panic {}", 7);
+    }
+}
+
+/// The detail of a `Panicked` outcome (panics on any other outcome).
+fn panic_text(outcome: &StageOutcome) -> &str {
+    match outcome {
+        StageOutcome::Panicked { detail } => detail,
+        other => panic!("expected a panic report, got {other:?}"),
+    }
+}
+
+#[test]
+fn panicking_stage_reports_its_panic_text() {
+    let mut n = Netlist::new("demo");
+    let a = n.input_bool("a").unwrap();
+    let b = n.input_bool("b").unwrap();
+    let goal = n.and(&[a, b]).unwrap();
+    let mut sup = Supervisor::new()
+        .stage(PanicStage)
+        .stage(FormattedPanicStage)
+        .stage(HdpllStage::new("hdpll", SolverConfig::hdpll()));
+    let result = sup.solve(&n, goal);
+    assert_eq!(panic_text(&result.reports[0].outcome), "injected stage panic");
+    assert_eq!(panic_text(&result.reports[1].outcome), "injected stage panic 7");
+    assert_eq!(result.answered_by.as_deref(), Some("hdpll"));
+}
+
+#[test]
+fn panicking_session_rung_reports_its_panic_text() {
+    let mut n = Netlist::new("demo");
+    let a = n.input_bool("a").unwrap();
+    let word = n.input_word("word", 4).unwrap();
+    // An assumption on a word-typed signal panics in every rung.
+    let mut ladder = SupervisedSession::new(&n);
+    let q = ladder.solve(&[Assumption::yes(word)]);
+    assert!(q.answered_by.is_none());
+    assert_eq!(q.reports.len(), 2);
+    for r in &q.reports {
+        let detail = panic_text(&r.outcome);
+        assert!(detail.contains("must be Boolean"), "{}: {detail}", r.stage);
+    }
+    // The ladder still answers the next, well-formed query.
+    let q = ladder.solve(&[Assumption::yes(a)]);
+    assert!(q.certified.result.is_sat());
 }
 
 #[test]
