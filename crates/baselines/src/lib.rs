@@ -52,8 +52,8 @@
 use std::time::Duration;
 
 use rtl_hdpll::{
-    CancelToken, HdpllResult, HdpllStage, LearnConfig, LearningMode, Limits, SolveStage, Solver,
-    SolverConfig, StageRun, Supervisor,
+    slice_limit, CancelToken, HdpllResult, LearningMode, Limits, SolveStage, Solver, SolverConfig,
+    StageRun,
 };
 use rtl_ir::{Netlist, SignalId};
 
@@ -65,6 +65,16 @@ pub struct BaselineLimits {
     pub max_time: Option<Duration>,
     /// Conflict budget (deterministic alternative to wall-clock).
     pub max_conflicts: Option<u64>,
+}
+
+impl BaselineLimits {
+    /// These limits under a stage's slice of a ladder's budget.
+    fn within(self, slice: Option<Duration>) -> Self {
+        BaselineLimits {
+            max_time: slice_limit(self.max_time, slice),
+            ..self
+        }
+    }
 }
 
 /// The eager bit-blasting baseline (UCLID-like; paper §5.3 option 2).
@@ -129,7 +139,13 @@ impl LazyCdpSolver {
     /// Panics if `constraint` is not a Boolean signal of `netlist`.
     #[must_use]
     pub fn solve(&self, netlist: &Netlist, constraint: SignalId) -> HdpllResult {
-        let config = SolverConfig {
+        Solver::new(netlist, self.config()).solve(constraint)
+    }
+
+    /// The hybrid engine's configuration for this baseline: activity
+    /// decisions, no conflict learning, this solver's budget.
+    fn config(&self) -> SolverConfig {
+        SolverConfig {
             learning: LearningMode::None,
             limits: Limits {
                 max_time: self.limits.max_time,
@@ -137,13 +153,12 @@ impl LazyCdpSolver {
                 ..Limits::default()
             },
             ..SolverConfig::hdpll()
-        };
-        Solver::new(netlist, config).solve(constraint)
+        }
     }
 }
 
-/// [`EagerSolver`] as a supervisor [`SolveStage`] — the last rung of the
-/// default degradation ladder and the `Unsat` cross-checker.
+/// [`EagerSolver`] as a supervisor [`SolveStage`] — the last rung of
+/// every degradation ladder and the `Unsat` cross-checker.
 ///
 /// The stage honours its wall-clock slice through the SAT solver's own
 /// deadline; the CDCL loop does not poll the supervisor's cancel token,
@@ -177,12 +192,7 @@ impl SolveStage for EagerStage {
         if cancel.is_cancelled() {
             return StageRun::new(HdpllResult::Unknown);
         }
-        let mut limits = self.limits;
-        limits.max_time = match (limits.max_time, max_time) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        StageRun::new(EagerSolver::new(limits).solve(netlist, goal))
+        StageRun::new(EagerSolver::new(self.limits.within(max_time)).solve(netlist, goal))
     }
 }
 
@@ -213,19 +223,7 @@ impl SolveStage for LazyStage {
         max_time: Option<Duration>,
         cancel: &CancelToken,
     ) -> StageRun {
-        let limits = Limits {
-            max_time: match (self.limits.max_time, max_time) {
-                (Some(a), Some(b)) => Some(a.min(b)),
-                (a, b) => a.or(b),
-            },
-            max_conflicts: self.limits.max_conflicts,
-            ..Limits::default()
-        };
-        let config = SolverConfig {
-            learning: LearningMode::None,
-            limits,
-            ..SolverConfig::hdpll()
-        };
+        let config = LazyCdpSolver::new(self.limits.within(max_time)).config();
         let mut solver = Solver::new(netlist, config);
         let result = solver.solve_cancellable(goal, cancel);
         StageRun {
@@ -234,35 +232,6 @@ impl SolveStage for LazyStage {
             proof: None,
         }
     }
-}
-
-/// The default degradation ladder for `netlist`: HDPLL+S+P (weight 2) →
-/// HDPLL activity (weight 1) → eager bit-blast (remaining time). With
-/// `check_unsat`, every `Unsat` verdict is cross-checked by the eager
-/// baseline under roughly a tenth of the total budget (capped at 5 s
-/// when no budget is given).
-#[must_use]
-pub fn default_supervisor(
-    netlist: &Netlist,
-    budget: Option<Duration>,
-    check_unsat: bool,
-) -> Supervisor {
-    let learn = LearnConfig::table2_for(netlist);
-    let mut sup = Supervisor::new()
-        .weighted_stage(
-            HdpllStage::new("hdpll+s+p", SolverConfig::structural_with_learning(learn)),
-            2.0,
-        )
-        .weighted_stage(HdpllStage::new("hdpll-activity", SolverConfig::hdpll()), 1.0)
-        .weighted_stage(EagerStage::default(), 1.0);
-    if let Some(b) = budget {
-        sup = sup.budget(b);
-    }
-    if check_unsat {
-        let check_budget = budget.map_or(Duration::from_secs(5), |b| b / 10);
-        sup = sup.check_unsat_with(EagerStage::default(), check_budget);
-    }
-    sup
 }
 
 #[cfg(test)]

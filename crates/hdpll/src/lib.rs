@@ -77,8 +77,8 @@ pub use crate::session::{
 };
 pub use crate::solver::{HdpllResult, LearningMode, Limits, Solver, SolverConfig, SolverStats};
 pub use crate::supervise::{
-    panic_message, CancelToken, Certification, FaultPlan, HdpllStage, PreprocSummary, SolveStage,
-    StageOutcome, StageReport, StageRun, SupervisedResult, Supervisor,
+    panic_message, preprocess, slice_limit, CancelToken, Certification, FaultPlan, HdpllStage,
+    PreprocSummary, SolveStage, StageOutcome, StageReport, StageRun, SupervisedResult, Supervisor,
 };
 pub use crate::types::{
     AbortReason, ClauseDbConfig, DecisionStrategy, HLit, RestartMode, VarId,

@@ -729,24 +729,9 @@ pub struct SupervisedSession {
 }
 
 impl SupervisedSession {
-    /// The default ladder: `hdpll-sp` (structural + predicate learning)
-    /// degrading to `hdpll` (activity), both with proof logging.
-    #[must_use]
-    pub fn new(netlist: &Netlist) -> Self {
-        Self::with_rungs(
-            netlist,
-            vec![
-                (
-                    "hdpll-sp".to_string(),
-                    SolverConfig::structural_with_learning(crate::LearnConfig::default())
-                        .with_proof(true),
-                ),
-                ("hdpll".to_string(), SolverConfig::hdpll().with_proof(true)),
-            ],
-        )
-    }
-
-    /// A ladder with explicit rungs, tried in order.
+    /// A ladder with explicit rungs, tried in order (`rtl-serve`'s
+    /// `session_rungs` derives an engine's rungs from its one ladder
+    /// table).
     ///
     /// # Panics
     ///

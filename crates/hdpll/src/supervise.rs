@@ -27,7 +27,7 @@
 //! * **Graceful degradation** — on `Unknown`, a certification failure,
 //!   or a caught panic (`catch_unwind` at the stage boundary), the
 //!   supervisor falls through a configurable stage ladder (e.g.
-//!   HDPLL+S+P → HDPLL activity → eager bit-blast) with weighted
+//!   `hdpll-sp` → `hdpll` → eager bit-blast) with weighted
 //!   per-stage budget splits, and reports which stage answered and what
 //!   happened to every stage it tried. Each stage attempt runs through
 //!   the rung runner [`SupervisedSession`](crate::SupervisedSession)
@@ -39,6 +39,7 @@
 //!   degrades instead of crashing or hanging.
 
 use std::any::Any;
+use std::collections::HashMap;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -198,21 +199,19 @@ pub struct HdpllStage {
     label: String,
     config: SolverConfig,
     faults: FaultPlan,
-    proof: bool,
     obs: ObsHandle,
 }
 
 impl HdpllStage {
-    /// A stage named `label` running `config`, with proof logging on:
+    /// A stage named `label` running `config` with proof logging on:
     /// Unsat verdicts carry a proof the supervisor certifies
     /// independently.
     #[must_use]
     pub fn new(label: impl Into<String>, config: SolverConfig) -> Self {
         Self {
             label: label.into(),
-            config,
+            config: config.with_proof(true),
             faults: FaultPlan::default(),
-            proof: true,
             obs: ObsHandle::off(),
         }
     }
@@ -223,14 +222,13 @@ impl HdpllStage {
         self.faults = faults;
         self
     }
+}
 
-    /// Enables or disables proof logging (on by default; turning it off
-    /// trades Unsat certification for faster conflict handling).
-    #[must_use]
-    pub fn with_proof(mut self, proof: bool) -> Self {
-        self.proof = proof;
-        self
-    }
+/// The time limit a stage runs under: its slice of the ladder's budget
+/// tightens (never widens) the limit it was configured with.
+#[must_use]
+pub fn slice_limit(configured: Option<Duration>, slice: Option<Duration>) -> Option<Duration> {
+    configured.into_iter().chain(slice).min()
 }
 
 impl SolveStage for HdpllStage {
@@ -245,13 +243,8 @@ impl SolveStage for HdpllStage {
         max_time: Option<Duration>,
         cancel: &CancelToken,
     ) -> StageRun {
-        // The stage's slice tightens (never widens) a configured limit.
-        let mut limits = self.config.limits;
-        limits.max_time = match (limits.max_time, max_time) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        let config = self.config.with_limits(limits).with_proof(self.proof);
+        let mut config = self.config;
+        config.limits.max_time = slice_limit(config.limits.max_time, max_time);
         let mut solver = Solver::new(netlist, config);
         solver.inject_faults(self.faults);
         solver.set_obs(self.obs.clone());
@@ -383,10 +376,11 @@ pub struct StageReport {
 /// When present, the ladder ran on `netlist`/`goal` instead of the
 /// caller's originals: `Sat` models were translated back through `map`
 /// and re-certified against the *original* netlist before being
-/// reported, while the `proof` of an `Unsat` verdict refutes the
-/// *simplified* netlist — persist this summary alongside the proof
-/// (`rtlsat --proof` writes a `.preproc` bundle) so an offline checker
-/// can re-derive the rewrites and validate the pair.
+/// reported ([`PreprocSummary::certify_model`]), while the `proof` of an
+/// `Unsat` verdict refutes the *simplified* netlist — persist this
+/// summary alongside the proof (`rtlsat --proof` writes a `.preproc`
+/// bundle) so an offline checker can re-derive the rewrites and
+/// validate the pair.
 #[derive(Clone, Debug)]
 pub struct PreprocSummary {
     /// Rewrite counters (signals before/after, folds, shares, cone).
@@ -398,6 +392,65 @@ pub struct PreprocSummary {
     /// Old → new signal map (partial: cone-pruned signals have no
     /// image).
     pub map: SignalMap,
+}
+
+impl PreprocSummary {
+    /// `true` when the rewrites decided the query outright: the goal's
+    /// image is a constant.
+    fn goal_folded(&self) -> bool {
+        matches!(self.netlist.op(self.goal), Op::Const(_))
+    }
+
+    /// Translates a model of the simplified netlist back to `original`,
+    /// the netlist this summary was made from, and certifies it there
+    /// against `goal` by re-simulation, so the simplifier is never part
+    /// of the trusted base.
+    ///
+    /// # Errors
+    ///
+    /// Why the simulator rejected the translated model.
+    pub fn certify_model(
+        &self,
+        original: &Netlist,
+        goal: SignalId,
+        model: &HashMap<SignalId, i64>,
+    ) -> Result<HashMap<SignalId, i64>, String> {
+        let model = self.map.translate_model(original, model);
+        eval::model_failure(original, &model, goal).map_or(Ok(model), Err)
+    }
+}
+
+/// Stage-0 preprocessing, the one entry point both ladders' callers
+/// share: simplifies `netlist` against `goal` under the `preproc` trace
+/// stage and profiler span, and records the `preproc_*` counters.
+#[must_use]
+pub fn preprocess(netlist: &Netlist, goal: SignalId, obs: &ObsHandle) -> PreprocSummary {
+    obs.stage_start("preproc");
+    obs.profile_enter("preproc");
+    let pre = simplify(netlist, &[goal]);
+    obs.profile_exit();
+    let stats = pre.stats;
+    obs.record_counter("preproc_signals_removed", stats.removed() as u64);
+    obs.record_counter("preproc_subterms_shared", stats.shares);
+    obs.record_counter("preproc_folds", stats.folds);
+    let summary = PreprocSummary {
+        stats,
+        goal: pre.map.get(goal).expect("the goal is a preprocessing root"),
+        netlist: pre.netlist,
+        map: pre.map,
+    };
+    obs.stage_end(
+        "preproc",
+        &format!(
+            "{} -> {} signals, {} shared, {} folds{}",
+            stats.signals_before,
+            stats.signals_after,
+            stats.shares,
+            stats.folds,
+            if summary.goal_folded() { ", goal folded" } else { "" },
+        ),
+    );
+    summary
 }
 
 /// The certified result of [`Supervisor::solve`].
@@ -610,29 +663,8 @@ impl Supervisor {
         if !self.preproc {
             return self.solve_ladder(netlist, goal, None);
         }
-        let obs = self.obs.clone();
-        obs.stage_start("preproc");
-        obs.profile_enter("preproc");
-        let pre = simplify(netlist, &[goal]);
-        obs.profile_exit();
-        let stats = pre.stats;
-        obs.record_counter("preproc_signals_removed", stats.removed() as u64);
-        obs.record_counter("preproc_subterms_shared", stats.shares);
-        obs.record_counter("preproc_folds", stats.folds);
-        let goal_new = pre.map.get(goal).expect("the goal is a preprocessing root");
-        let folded = matches!(pre.netlist.op(goal_new), Op::Const(_));
-        obs.stage_end(
-            "preproc",
-            &format!(
-                "{} -> {} signals, {} shared, {} folds{}",
-                stats.signals_before,
-                stats.signals_after,
-                stats.shares,
-                stats.folds,
-                if folded { ", goal folded" } else { "" },
-            ),
-        );
-        if folded {
+        let pre = preprocess(netlist, goal, &self.obs);
+        if pre.goal_folded() {
             // The rewrites decided the query outright. A constant goal
             // yields no search and no usable proof, so run the ladder
             // on the untouched original: its certification — proof,
@@ -640,26 +672,21 @@ impl Supervisor {
             // netlist directly and nothing downstream changes shape.
             return self.solve_ladder(netlist, goal, None);
         }
-        let mut result = self.solve_ladder(&pre.netlist, goal_new, Some((netlist, goal, &pre.map)));
-        result.preproc = Some(PreprocSummary {
-            stats,
-            netlist: pre.netlist,
-            goal: goal_new,
-            map: pre.map,
-        });
+        let mut result = self.solve_ladder(&pre.netlist, pre.goal, Some((netlist, goal, &pre)));
+        result.preproc = Some(pre);
         result
     }
 
     /// The degradation ladder proper. `original` is present when
     /// `netlist`/`goal` are the preprocessed problem: `Sat` models are
-    /// then translated through the map and certified against the
-    /// original netlist/goal instead, so the simplifier never has to be
-    /// trusted.
+    /// then certified against the original netlist/goal instead
+    /// ([`PreprocSummary::certify_model`]), so the simplifier never has
+    /// to be trusted.
     fn solve_ladder(
         &mut self,
         netlist: &Netlist,
         goal: SignalId,
-        original: Option<(&Netlist, SignalId, &SignalMap)>,
+        original: Option<(&Netlist, SignalId, &PreprocSummary)>,
     ) -> SupervisedResult {
         let deadline = self.budget.map(|b| Instant::now() + b);
         let cancel = self.cancel.clone();
@@ -745,7 +772,7 @@ type UnsatCheck = Option<(Box<dyn SolveStage>, Duration)>;
 fn judge(
     run: StageRun,
     (netlist, goal): (&Netlist, SignalId),
-    original: Option<(&Netlist, SignalId, &SignalMap)>,
+    original: Option<(&Netlist, SignalId, &PreprocSummary)>,
     unsat_check: &mut UnsatCheck,
     cancel: &CancelToken,
     obs: &ObsHandle,
@@ -758,23 +785,19 @@ fn judge(
     let rejected = |detail| (StageOutcome::CertFailed { detail }, (HdpllResult::Unknown, None));
     let (outcome, answer) = match result {
         HdpllResult::Sat(model) => {
-            // When the ladder runs on a preprocessed netlist, translate
-            // the model back and certify it against the *original* —
-            // the verdict then carries the translated model, and a
-            // simplifier bug surfaces as a certification failure, never
-            // a wrong answer.
+            // When the ladder runs on a preprocessed netlist, the model
+            // is certified against the *original* — the verdict then
+            // carries the translated model, and a simplifier bug
+            // surfaces as a certification failure, never a wrong answer.
             obs.profile_enter("certify");
-            let (model, (netlist, goal)) = match original {
-                Some((orig, orig_goal, map)) => {
-                    (map.translate_model(orig, &model), (orig, orig_goal))
-                }
-                None => (model, (netlist, goal)),
+            let certified = match original {
+                Some((orig, orig_goal, pre)) => pre.certify_model(orig, orig_goal, &model),
+                None => eval::model_failure(netlist, &model, goal).map_or(Ok(model), Err),
             };
-            let failure = eval::model_failure(netlist, &model, goal);
             obs.profile_exit();
-            match failure {
-                None => (StageOutcome::CertifiedSat, (HdpllResult::Sat(model), None)),
-                Some(why) => rejected(format!("SAT model rejected: {why}")),
+            match certified {
+                Ok(model) => (StageOutcome::CertifiedSat, (HdpllResult::Sat(model), None)),
+                Err(why) => rejected(format!("SAT model rejected: {why}")),
             }
         }
         HdpllResult::Unsat => {

@@ -1046,7 +1046,7 @@ fn sessioned_bmc_matches_fresh_unroll() {
 #[test]
 fn supervised_session_answers_and_degrades() {
     let (_, n, goal) = unsat_instances().remove(1);
-    let mut ladder = crate::SupervisedSession::new(&n);
+    let mut ladder = crate::SupervisedSession::with_rungs(&n, sp_then_hdpll());
     let q = ladder.solve(&[Assumption::yes(goal)]);
     assert!(q.certified.result.is_unsat());
     assert_eq!(q.certified.cert, SessionCert::ProofChecked);
@@ -1090,7 +1090,7 @@ fn panicked_session_query_leaves_no_profile_span_open() {
         profile: true,
         ..ObsConfig::default()
     });
-    let mut ladder = crate::SupervisedSession::new(&n);
+    let mut ladder = crate::SupervisedSession::with_rungs(&n, sp_then_hdpll());
     ladder.set_obs(obs.clone());
     // An assumption on a word-typed signal panics in every rung.
     let q = ladder.solve(&[Assumption::yes(word)]);
@@ -1120,6 +1120,15 @@ fn panicked_session_query_leaves_no_profile_span_open() {
 /// The end-to-end benchmark's session configuration.
 fn sp_proof() -> SolverConfig {
     SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true)
+}
+
+/// A two-rung session ladder: `hdpll-sp` degrading to `hdpll`, both
+/// proof-logged.
+fn sp_then_hdpll() -> Vec<(String, SolverConfig)> {
+    vec![
+        ("hdpll-sp".to_string(), sp_proof()),
+        ("hdpll".to_string(), SolverConfig::hdpll().with_proof(true)),
+    ]
 }
 
 /// A b13 netlist unrolled to `frames` frames, with its unroller.

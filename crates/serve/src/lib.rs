@@ -120,25 +120,70 @@ pub fn check_budget(timeout: Option<Duration>, requested: Option<Duration>) -> D
     }
 }
 
-/// The next rung of the degradation ladder for a retried solve:
-/// predicate learning is dropped first, then structural decisions, then
-/// the hybrid engine itself in favour of the eager bit-blast baseline.
+/// What one engine runs as a ladder rung.
+#[derive(Clone, Copy)]
+enum Rung {
+    /// An HDPLL-family rung, labelled with its engine name; its
+    /// configuration reads a one-shot solve's netlist (`None` in a
+    /// session, whose netlist grows).
+    Hdpll(fn(Option<&Netlist>) -> SolverConfig),
+    /// The eager bit-blast baseline, labelled `eager-bitblast`.
+    Eager,
+    /// The lazy CDP baseline, labelled `lazy-cdp`.
+    Lazy,
+}
+
+/// The one ladder table, which every ladder is derived from: each
+/// engine a request can name (the columns of the paper's Table 2), its
+/// rung, and the engine the retry chain falls to next. Predicate
+/// learning and structural decisions go first, then the hybrid engine
+/// itself in favour of the eager bit-blast baseline.
+const ENGINES: [(&str, Rung, Option<&str>); 5] = [
+    ("hdpll-sp", Rung::Hdpll(learning), Some("hdpll")),
+    ("hdpll-s", Rung::Hdpll(|_| SolverConfig::structural()), Some("hdpll")),
+    ("hdpll", Rung::Hdpll(|_| SolverConfig::hdpll()), Some("eager")),
+    ("lazy", Rung::Lazy, Some("eager")),
+    ("eager", Rung::Eager, None),
+];
+
+/// `hdpll-sp`: predicate learning with Table 2's threshold for a
+/// one-shot netlist, the default one in a session.
+fn learning(netlist: Option<&Netlist>) -> SolverConfig {
+    SolverConfig::structural_with_learning(
+        netlist.map_or_else(LearnConfig::default, LearnConfig::table2_for),
+    )
+}
+
+/// The ladder `opts` asks for, as `(engine, rung, budget weight)`: the
+/// chosen engine at weight 2, then (with `fallback`) the retry chain
+/// below it at weight 1 each.
+fn ladder(opts: &SolveOptions) -> Result<Vec<(&'static str, Rung, f64)>, String> {
+    let mut rungs = Vec::new();
+    let mut engine = Some(opts.engine.as_str());
+    while let Some(name) = engine {
+        let Some(&(name, rung, next)) = ENGINES.iter().find(|(e, ..)| *e == name) else {
+            return Err(format!("unknown engine `{name}`"));
+        };
+        rungs.push((name, rung, if rungs.is_empty() { 2.0 } else { 1.0 }));
+        engine = next.filter(|_| opts.fallback);
+    }
+    Ok(rungs)
+}
+
+/// The next rung of the retry chain for a retried solve (`None` at the
+/// end of the chain or for an unknown engine).
 #[must_use]
 pub fn degraded_engine(engine: &str) -> Option<&'static str> {
-    match engine {
-        "hdpll-sp" | "hdpll-s" => Some("hdpll"),
-        "hdpll" | "lazy" => Some("eager"),
-        _ => None,
-    }
+    ENGINES.iter().find(|(e, ..)| *e == engine).and_then(|&(.., next)| next)
 }
 
 /// Builds the rung configurations of an incremental
 /// [`SupervisedSession`](rtl_hdpll::SupervisedSession) ladder for the
-/// selected options: the engine itself, plus (with `fallback`) the
-/// plain-activity HDPLL rung. Proof logging is always on — a session's
-/// Unsat answers are certified per query by the assumption-proof
-/// checker, there is no post-hoc goal proof to check instead. The
-/// wall-clock budget applies *per query* (a session answers many).
+/// selected options: the HDPLL-family rungs of [`build_supervisor`]'s
+/// ladder. Proof logging is always on — a session's Unsat answers are
+/// certified per query by the assumption-proof checker, there is no
+/// post-hoc goal proof to check instead. The wall-clock budget applies
+/// *per query* (a session answers many).
 ///
 /// # Errors
 ///
@@ -146,73 +191,48 @@ pub fn degraded_engine(engine: &str) -> Option<&'static str> {
 /// and cannot run sessions; unknown engines are rejected as in
 /// [`build_supervisor`].
 pub fn session_rungs(opts: &SolveOptions) -> Result<Vec<(String, SolverConfig)>, String> {
-    let with_limits = |mut config: SolverConfig| {
-        config.limits.max_memory = opts.max_memory;
-        config.limits.max_time = opts.timeout;
-        config.with_proof(true)
-    };
-    let primary = match opts.engine.as_str() {
-        "hdpll" => SolverConfig::hdpll(),
-        "hdpll-s" => SolverConfig::structural(),
-        "hdpll-sp" => SolverConfig::structural_with_learning(LearnConfig::default()),
-        "eager" | "lazy" => {
-            return Err(format!(
-                "engine `{}` cannot run incremental sessions (no persistent state)",
-                opts.engine
-            ))
+    let mut rungs = Vec::new();
+    for (engine, rung, _) in ladder(opts)? {
+        match rung {
+            Rung::Hdpll(config) => {
+                let mut config = config(None).with_proof(true);
+                config.limits.max_memory = opts.max_memory;
+                config.limits.max_time = opts.timeout;
+                rungs.push((engine.to_string(), config));
+            }
+            _ if rungs.is_empty() => {
+                return Err(format!(
+                    "engine `{engine}` cannot run incremental sessions (no persistent state)"
+                ))
+            }
+            Rung::Eager | Rung::Lazy => {}
         }
-        other => return Err(format!("unknown engine `{other}`")),
-    };
-    let mut rungs = vec![(opts.engine.clone(), with_limits(primary))];
-    if opts.fallback && opts.engine != "hdpll" {
-        rungs.push(("hdpll-activity".to_string(), with_limits(SolverConfig::hdpll())));
     }
     Ok(rungs)
 }
 
 /// Builds the supervisor for the selected options: the engine itself as
-/// the primary stage, plus (with `fallback`) the degradation ladder and
-/// (with `check`) the eager `Unsat` cross-check under [`check_budget`].
+/// the primary stage, plus (with `fallback`) the retry chain below it,
+/// and (with `check`) the eager `Unsat` cross-check under
+/// [`check_budget`].
 pub fn build_supervisor(opts: &SolveOptions, netlist: &Netlist) -> Result<Supervisor, String> {
     let mut sup = Supervisor::new().with_preproc(opts.preproc);
     if let Some(t) = opts.timeout {
         sup = sup.budget(t);
     }
-    let with_limits = |mut config: SolverConfig| {
-        config.limits.max_memory = opts.max_memory;
-        config
-    };
-    let hdpll_stage = |label: &str, config: SolverConfig| {
-        HdpllStage::new(label, with_limits(config)).with_faults(opts.fault)
-    };
-    sup = match opts.engine.as_str() {
-        "hdpll" => sup.weighted_stage(hdpll_stage("hdpll", SolverConfig::hdpll()), 2.0),
-        "hdpll-s" => sup.weighted_stage(hdpll_stage("hdpll-s", SolverConfig::structural()), 2.0),
-        "hdpll-sp" => sup.weighted_stage(
-            hdpll_stage(
-                "hdpll-sp",
-                SolverConfig::structural_with_learning(LearnConfig::table2_for(netlist)),
-            ),
-            2.0,
-        ),
-        "eager" => sup.weighted_stage(EagerStage::default(), 2.0),
-        "lazy" => sup.weighted_stage(LazyStage::default(), 2.0),
-        other => return Err(format!("unknown engine `{other}`")),
-    };
-    if opts.fallback {
-        // The ladder of last resorts behind the chosen engine: plain
-        // HDPLL (activity decisions), then the eager bit-blast, which
-        // inherits all remaining budget. Fallback stages never inherit
-        // the fault plan: they are the recovery path.
-        if opts.engine != "hdpll" {
-            sup = sup.weighted_stage(
-                HdpllStage::new("hdpll-activity", with_limits(SolverConfig::hdpll())),
-                1.0,
-            );
-        }
-        if opts.engine != "eager" {
-            sup = sup.weighted_stage(EagerStage::default(), 1.0);
-        }
+    for (i, (engine, rung, weight)) in ladder(opts)?.into_iter().enumerate() {
+        sup = match rung {
+            Rung::Hdpll(config) => {
+                let mut config = config(Some(netlist));
+                config.limits.max_memory = opts.max_memory;
+                // Stages behind the primary never inherit the fault
+                // plan: they are the recovery path.
+                let faults = if i == 0 { opts.fault } else { FaultPlan::default() };
+                sup.weighted_stage(HdpllStage::new(engine, config).with_faults(faults), weight)
+            }
+            Rung::Eager => sup.weighted_stage(EagerStage::default(), weight),
+            Rung::Lazy => sup.weighted_stage(LazyStage::default(), weight),
+        };
     }
     if opts.check {
         sup = sup.check_unsat_with(
@@ -265,6 +285,54 @@ mod tests {
         assert_eq!(rungs, ["hdpll-sp", "hdpll", "eager"]);
         assert_eq!(degraded_engine("eager"), None);
         assert_eq!(degraded_engine("nonsense"), None);
+    }
+
+    #[test]
+    fn every_ladder_reads_the_one_chain() {
+        let netlist =
+            rtl_ir::text::parse("netlist t\ninput a bool\nnode goal bool = and a a\n").unwrap();
+        // Per engine: its `--fallback` supervisor stages (the first at
+        // budget weight 2, the rest at 1; without `fallback` the first
+        // alone), its `--fallback` session rungs (`None`: no sessions;
+        // without `fallback` the engine alone), and the next engine of
+        // the retry chain.
+        let cases = [
+            ("hdpll-sp", "hdpll-sp hdpll eager-bitblast", Some("hdpll-sp hdpll"), Some("hdpll")),
+            ("hdpll-s", "hdpll-s hdpll eager-bitblast", Some("hdpll-s hdpll"), Some("hdpll")),
+            ("hdpll", "hdpll eager-bitblast", Some("hdpll"), Some("eager")),
+            ("eager", "eager-bitblast", None, None),
+            ("lazy", "lazy-cdp eager-bitblast", None, Some("eager")),
+        ];
+        for (engine, stages, rungs, next) in cases {
+            assert_eq!(degraded_engine(engine), next, "{engine}");
+            for fallback in [false, true] {
+                let tag = format!("{engine}, fallback {fallback}");
+                let opts = SolveOptions {
+                    engine: engine.to_string(),
+                    fallback,
+                    ..SolveOptions::default()
+                };
+                let keep = if fallback { usize::MAX } else { 1 };
+                let stages: Vec<String> = stages
+                    .split(' ')
+                    .take(keep)
+                    .enumerate()
+                    .map(|(i, s)| format!("(\"{s}\", {}.0)", if i == 0 { 2 } else { 1 }))
+                    .collect();
+                let sup = format!("{:?}", build_supervisor(&opts, &netlist).unwrap());
+                let want = format!("stages: [{}],", stages.join(", "));
+                assert!(sup.contains(&want), "{tag}: {sup}");
+                let labels: Result<Vec<String>, _> =
+                    session_rungs(&opts).map(|r| r.into_iter().map(|(l, _)| l).collect());
+                match rungs {
+                    Some(rungs) => {
+                        let want: Vec<&str> = rungs.split(' ').take(keep).collect();
+                        assert_eq!(labels.unwrap(), want, "{tag}");
+                    }
+                    None => assert!(labels.is_err(), "{tag}: {labels:?}"),
+                }
+            }
+        }
     }
 
     #[test]

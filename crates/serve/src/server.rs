@@ -24,9 +24,11 @@ use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use rtl_hdpll::{
-    panic_message, AbortReason, Assumption, CancelToken, FaultPlan, HdpllResult, SessionCert,
-    StageOutcome, StageReport, SupervisedQuery, SupervisedResult, SupervisedSession,
+    panic_message, preprocess, AbortReason, Assumption, CancelToken, FaultPlan, HdpllResult,
+    PreprocSummary, SessionCert, SolverConfig, StageOutcome, StageReport, SupervisedQuery,
+    SupervisedResult, SupervisedSession,
 };
+use rtl_ir::{Netlist, SignalId};
 use rtl_obs::{ObsConfig, ObsHandle};
 
 use crate::metrics::{ServeMetrics, SlowRing};
@@ -214,18 +216,42 @@ fn content_key(engine: &str, fallback: bool, max_memory: Option<u64>, source: &s
 
 /// Projects one session query into the [`SupervisedResult`] shape the
 /// record builder consumes: the query's rung reports become its stages,
-/// and only a proof-checked Unsat carries its proof.
-fn session_result(q: SupervisedQuery) -> SupervisedResult {
+/// and only a proof-checked Unsat carries its proof. When the session
+/// solved the stage-0 image of the request (`original`), a Sat model is
+/// certified against the request's own netlist; one it fails there
+/// discredits the answer instead of shipping it.
+fn session_result(
+    q: SupervisedQuery,
+    original: Option<(&Netlist, SignalId, &PreprocSummary)>,
+) -> SupervisedResult {
     let proof = (q.certified.cert == SessionCert::ProofChecked)
         .then_some(q.certified.proof)
         .flatten();
-    SupervisedResult {
+    let mut result = SupervisedResult {
         verdict: q.certified.result,
         answered_by: q.answered_by,
         reports: q.reports,
         proof,
         preproc: None,
+    };
+    if let (HdpllResult::Sat(model), Some((netlist, goal, pre))) = (&result.verdict, original) {
+        result.verdict = match pre.certify_model(netlist, goal, model) {
+            Ok(model) => HdpllResult::Sat(model),
+            Err(_) => {
+                result.reports.push(StageReport {
+                    stage: "preproc-translate".to_string(),
+                    outcome: StageOutcome::CertFailed {
+                        detail: "translated model rejected by the original netlist".to_string(),
+                    },
+                    time: Duration::ZERO,
+                    stats: None,
+                });
+                result.answered_by = None;
+                HdpllResult::Unknown
+            }
+        };
     }
+    result
 }
 
 /// What one served stream did, returned to the caller after the final
@@ -316,32 +342,46 @@ fn read_line_capped<R: BufRead>(input: &mut R, max: usize) -> io::Result<Option<
     }
 }
 
-/// `true` when this request may run on a cached incremental session:
-/// the hdpll family keeps persistent state worth reusing, while
-/// cross-checks, fault plans, and the bit-blast baselines only exist on
-/// the one-shot supervisor path.
-fn session_eligible(config: &ServeConfig, opts: &SolveOptions) -> bool {
-    config.session_cache > 0
-        && !opts.check
-        && opts.fault.is_clean()
-        && matches!(opts.engine.as_str(), "hdpll" | "hdpll-s" | "hdpll-sp")
+/// The session rungs of this request when it may run on a cached
+/// incremental session: the hdpll family keeps persistent state worth
+/// reusing, while cross-checks, fault plans, and the bit-blast
+/// baselines only exist on the one-shot supervisor path.
+fn session_ladder(config: &ServeConfig, opts: &SolveOptions) -> Option<Rungs> {
+    let eligible = config.session_cache > 0 && !opts.check && opts.fault.is_clean();
+    eligible.then(|| session_rungs(opts).ok()).flatten()
 }
 
-/// Answers one request on a cached [`SupervisedSession`]: look up (or
-/// build and insert) the ladder for this content key, stamp the
-/// request's remaining budget and telemetry sink on it, and run the
-/// goal as a single assumption query. A panic that escapes the ladder's
-/// own isolation evicts the entry — a session in an unknown state is
-/// never reused.
+/// A session ladder's rungs, as [`session_rungs`] builds them.
+type Rungs = Vec<(String, SolverConfig)>;
+
+/// Answers one request on a cached [`SupervisedSession`]: run stage-0
+/// preprocessing when it is on, look up (or build and insert) the
+/// ladder for the problem's content key, stamp the request's remaining
+/// budget and telemetry sink on it, and run the goal as a single
+/// assumption query. A panic that escapes the ladder's own isolation
+/// evicts the entry — a session in an unknown state is never reused.
 fn solve_on_session(
     cache: &mut SessionCache,
-    key: u64,
     opts: &SolveOptions,
-    netlist: &rtl_ir::Netlist,
-    goal: rtl_ir::SignalId,
+    rungs: Rungs,
+    (netlist, goal, source_text): (&Netlist, SignalId, &str),
     handle: &ObsHandle,
     drain: &CancelToken,
 ) -> std::thread::Result<SupervisedResult> {
+    // With preprocessing on, the session solves the simplified netlist
+    // and the cache is keyed on its text: requests that differ only in
+    // dead or foldable logic collapse onto one compiled session. The
+    // goal image joins the key so two goals over the same simplified
+    // netlist never collide.
+    let pre = opts.preproc.then(|| preprocess(netlist, goal, handle));
+    let key = match &pre {
+        Some(pre) => {
+            let mut keyed = rtl_ir::text::to_text(&pre.netlist);
+            keyed.push_str(&format!("\ngoal-id {}", pre.goal.index()));
+            content_key(&opts.engine, opts.fallback, opts.max_memory, &keyed)
+        }
+        None => content_key(&opts.engine, opts.fallback, opts.max_memory, source_text),
+    };
     let hit = cache.get(key).is_some();
     handle.record_counter(
         if hit {
@@ -355,60 +395,29 @@ fn solve_on_session(
         let ladder = if hit {
             cache.get(key).expect("probed above")
         } else {
-            let rungs = session_rungs(opts).expect("engine gated to the hdpll family");
-            // Session-internal preprocessing stays off: the serve loop
-            // already simplified the netlist (when `preproc` is on)
-            // before keying the cache, so the session would only redo
-            // an idempotent pass.
-            let ladder = SupervisedSession::with_rungs(netlist, rungs).with_preproc(false);
+            let problem = pre.as_ref().map_or(netlist, |pre| &pre.netlist);
+            // Session-internal preprocessing stays off: the netlist was
+            // already simplified (when `preproc` is on) before keying
+            // the cache, so the session would only redo an idempotent
+            // pass.
+            let ladder = SupervisedSession::with_rungs(problem, rungs).with_preproc(false);
             cache.insert(key, ladder)
         };
         ladder.set_timeout(opts.timeout);
         if handle.on() {
             ladder.set_obs(handle.clone());
         }
-        let q = ladder.solve_cancellable(&[Assumption::yes(goal)], drain);
+        let query_goal = pre.as_ref().map_or(goal, |pre| pre.goal);
+        let q = ladder.solve_cancellable(&[Assumption::yes(query_goal)], drain);
         // Release the per-request telemetry sink; the cached ladder
         // must not keep the previous request's buffers alive.
         ladder.set_obs(ObsHandle::off());
-        session_result(q)
+        session_result(q, pre.as_ref().map(|pre| (netlist, goal, pre)))
     }));
     if outcome.is_err() {
         cache.remove(key);
     }
     outcome
-}
-
-/// Translates a cached-session Sat verdict back into the original
-/// netlist's signal space and re-certifies it there: the session solved
-/// (and certified against) the simplified image, so the simplifier is
-/// never part of the trusted base — a translated model the reference
-/// simulator rejects discredits the answer instead of shipping it.
-fn translate_session_verdict(
-    mut result: SupervisedResult,
-    original: &rtl_ir::Netlist,
-    goal: rtl_ir::SignalId,
-    map: &rtl_ir::simplify::SignalMap,
-) -> SupervisedResult {
-    if let HdpllResult::Sat(model) = &result.verdict {
-        let translated = map.translate_model(original, model);
-        let certified = rtl_ir::eval::check_model(original, &translated, goal).unwrap_or(false);
-        if certified {
-            result.verdict = HdpllResult::Sat(translated);
-        } else {
-            result.reports.push(StageReport {
-                stage: "preproc-translate".to_string(),
-                outcome: StageOutcome::CertFailed {
-                    detail: "translated model rejected by the original netlist".to_string(),
-                },
-                time: Duration::ZERO,
-                stats: None,
-            });
-            result.answered_by = None;
-            result.verdict = HdpllResult::Unknown;
-        }
-    }
-    result
 }
 
 /// Runs one solve request end to end: netlist resolution, the
@@ -466,10 +475,9 @@ fn process(
     let mut attempt = 0u32;
     loop {
         attempt += 1;
-        let remaining = deadline.map(|d| d.saturating_duration_since(Instant::now()));
         let opts = SolveOptions {
             engine: engine.clone(),
-            timeout: remaining,
+            timeout: deadline.map(|d| d.saturating_duration_since(Instant::now())),
             check: req.check.unwrap_or(config.check),
             fallback: req.fallback.unwrap_or(config.fallback),
             check_timeout: req.check_timeout().or(config.check_timeout),
@@ -496,33 +504,9 @@ fn process(
         // compile/certify paths so a poisoned request can never take
         // the server down. The shared drain token makes every queued
         // and in-flight solve answer promptly once cancelled.
-        let solved = if session_eligible(config, &opts) {
-            if opts.preproc {
-                // Simplify against the goal first and key the cache on
-                // the *post-preprocessing* text: requests that differ
-                // only in dead or foldable logic collapse onto one
-                // compiled session. The goal image joins the key so two
-                // goals over the same simplified netlist never collide.
-                handle.stage_start("preproc");
-                let pre = rtl_ir::simplify::simplify(&netlist, &[goal]);
-                let stats = pre.stats;
-                handle.record_counter("preproc_signals_removed", stats.removed() as u64);
-                handle.record_counter("preproc_subterms_shared", stats.shares);
-                handle.record_counter("preproc_folds", stats.folds);
-                handle.stage_end(
-                    "preproc",
-                    &format!("{} -> {} signals", stats.signals_before, stats.signals_after),
-                );
-                let goal_new = pre.map.get(goal).expect("the goal is a preprocessing root");
-                let mut keyed = rtl_ir::text::to_text(&pre.netlist);
-                keyed.push_str(&format!("\ngoal-id {}", goal_new.index()));
-                let key = content_key(&opts.engine, opts.fallback, opts.max_memory, &keyed);
-                solve_on_session(cache, key, &opts, &pre.netlist, goal_new, &handle, drain)
-                    .map(|r| translate_session_verdict(r, &netlist, goal, &pre.map))
-            } else {
-                let key = content_key(&opts.engine, opts.fallback, opts.max_memory, &source_text);
-                solve_on_session(cache, key, &opts, &netlist, goal, &handle, drain)
-            }
+        let solved = if let Some(rungs) = session_ladder(config, &opts) {
+            let problem = (&netlist, goal, source_text.as_str());
+            solve_on_session(cache, &opts, rungs, problem, &handle, drain)
         } else {
             let mut sup = match build_supervisor(&opts, &netlist) {
                 Ok(s) => s,
@@ -534,64 +518,68 @@ fn process(
             sup = sup.with_cancel(drain.clone());
             catch_unwind(AssertUnwindSafe(|| sup.solve(&netlist, goal)))
         };
-
-        // Retrying only makes sense on the next ladder rung, with
-        // budget left, on a server that is not already draining hard.
-        let can_retry = |next: &Option<&str>| {
-            attempt == 1
-                && next.is_some()
-                && !drain.is_cancelled()
-                && remaining.is_none_or(|r| r > Duration::from_millis(1))
-        };
-        let next = degraded_engine(&engine);
-        match solved {
-            Ok(result) => {
-                if handle.on() {
-                    handle.request_end(&req.id, verdict_label(&result));
-                }
-                if solve_died(&result) && can_retry(&next) {
-                    counts.retries.fetch_add(1, Ordering::Relaxed);
-                    engine = next.expect("checked by can_retry").to_string();
-                    fault = FaultPlan::default();
-                    continue;
-                }
-                counts.results.fetch_add(1, Ordering::Relaxed);
-                let meta = SolveMeta {
-                    case,
-                    file,
-                    goal: req.goal.clone(),
-                    engine: engine.clone(),
-                };
-                let prefix = record::result_prefix(&req.id, seq, attempt);
-                let line = record::stats_json_record(&meta, &result, &handle, &prefix);
-                if let (Some(slow_ms), Some(ring)) = (config.slow_ms, slow) {
-                    let elapsed = started.elapsed();
-                    if elapsed >= Duration::from_millis(slow_ms) {
-                        let trace = handle.export_jsonl();
-                        if ring
-                            .capture(&req.id, seq, elapsed, &line, trace.as_deref())
-                            .is_ok()
-                        {
-                            metrics.observe_slow_capture();
-                        }
-                    }
-                }
-                return line;
-            }
+        if handle.on() {
+            handle.request_end(&req.id, solved.as_ref().map_or("panic", verdict_label));
+        }
+        // A died attempt (an escaped panic or a died result) shares one
+        // retry branch.
+        let died = solved.as_ref().map_or(true, solve_died);
+        if let Some(next) = retry_engine(&engine, attempt, died, deadline, drain) {
+            counts.retries.fetch_add(1, Ordering::Relaxed);
+            engine = next.to_string();
+            fault = FaultPlan::default();
+            continue;
+        }
+        let result = match solved {
+            Ok(result) => result,
             Err(panic) => {
                 let detail = panic_message(panic);
-                if handle.on() {
-                    handle.request_end(&req.id, "panic");
-                }
-                if can_retry(&next) {
-                    counts.retries.fetch_add(1, Ordering::Relaxed);
-                    engine = next.expect("checked by can_retry").to_string();
-                    fault = FaultPlan::default();
-                    continue;
-                }
                 return fail(&format!("solve panicked (attempt {attempt}): {detail}"));
             }
+        };
+        counts.results.fetch_add(1, Ordering::Relaxed);
+        let meta = SolveMeta {
+            case,
+            file,
+            goal: req.goal.clone(),
+            engine,
+        };
+        let prefix = record::result_prefix(&req.id, seq, attempt);
+        let line = record::stats_json_record(&meta, &result, &handle, &prefix);
+        if let (Some(slow_ms), Some(ring)) = (config.slow_ms, slow) {
+            let elapsed = started.elapsed();
+            if elapsed >= Duration::from_millis(slow_ms) {
+                let trace = handle.export_jsonl();
+                if ring
+                    .capture(&req.id, seq, elapsed, &line, trace.as_deref())
+                    .is_ok()
+                {
+                    metrics.observe_slow_capture();
+                }
+            }
         }
+        return line;
+    }
+}
+
+/// The engine a finished attempt is retried on, if any. Only a first
+/// attempt that died is retried, on the retry chain's next engine, and
+/// only while the request has budget left *after* the attempt (the
+/// engine can shed a solve on its memory cap after the deadline passed)
+/// and the server is not draining hard.
+fn retry_engine(
+    engine: &str,
+    attempt: u32,
+    died: bool,
+    deadline: Option<Instant>,
+    drain: &CancelToken,
+) -> Option<&'static str> {
+    let budget_left = deadline
+        .is_none_or(|d| d.saturating_duration_since(Instant::now()) > Duration::from_millis(1));
+    if attempt == 1 && died && budget_left && !drain.is_cancelled() {
+        degraded_engine(engine)
+    } else {
+        None
     }
 }
 
@@ -1132,17 +1120,65 @@ mod tests {
     fn session_cache_evicts_least_recently_used() {
         let n = rtl_ir::text::parse("netlist t\ninput a bool\nnode goal bool = and a a\n")
             .expect("tiny netlist");
+        let rungs = session_rungs(&SolveOptions::default()).expect("the default engine");
+        let ladder = || SupervisedSession::with_rungs(&n, rungs.clone());
         let mut cache = SessionCache::new(2);
-        cache.insert(1, SupervisedSession::new(&n));
-        cache.insert(2, SupervisedSession::new(&n));
+        cache.insert(1, ladder());
+        cache.insert(2, ladder());
         assert!(cache.get(1).is_some(), "bump 1 to most-recent");
-        cache.insert(3, SupervisedSession::new(&n));
+        cache.insert(3, ladder());
         assert_eq!(cache.entries.len(), 2, "cap holds");
         assert!(cache.get(2).is_none(), "2 was least-recently-used");
         assert!(cache.get(1).is_some());
         assert!(cache.get(3).is_some());
         cache.remove(3);
         assert!(cache.get(3).is_none(), "removed after a failure");
+    }
+
+    #[test]
+    fn retry_reads_the_chain_and_the_budget_left_after_the_attempt() {
+        // A verdict-less result whose one stage stopped for `abort`.
+        let aborted = |abort: AbortReason| SupervisedResult {
+            verdict: HdpllResult::Unknown,
+            answered_by: None,
+            reports: vec![StageReport {
+                stage: "hdpll-sp".to_string(),
+                outcome: StageOutcome::Unknown {
+                    reason: abort.to_string(),
+                },
+                time: Duration::ZERO,
+                stats: Some(rtl_hdpll::SolverStats {
+                    abort: Some(abort),
+                    ..rtl_hdpll::SolverStats::default()
+                }),
+            }],
+            proof: None,
+            preproc: None,
+        };
+        let drain = CancelToken::new();
+        let now = Instant::now();
+        let passed = Some(now.checked_sub(Duration::from_millis(5)).unwrap_or(now));
+        let left = Some(now + Duration::from_secs(60));
+        let died = solve_died(&aborted(AbortReason::Memory));
+        assert!(died, "a memory abort dies");
+        // Died after the deadline passed: no budget left to retry under.
+        assert_eq!(retry_engine("hdpll-sp", 1, died, passed, &drain), None);
+        // Died with budget left: the chain's next engine.
+        assert_eq!(
+            retry_engine("hdpll-sp", 1, died, left, &drain),
+            Some("hdpll")
+        );
+        assert_eq!(retry_engine("lazy", 1, died, None, &drain), Some("eager"));
+        // A deadline abort is final, budget or not.
+        let died = solve_died(&aborted(AbortReason::Deadline));
+        assert!(!died, "a deadline abort does not die");
+        assert_eq!(retry_engine("hdpll-sp", 1, died, left, &drain), None);
+        // One retry per request, none past the end of the chain, none
+        // while draining.
+        assert_eq!(retry_engine("hdpll", 2, true, left, &drain), None);
+        assert_eq!(retry_engine("eager", 1, true, left, &drain), None);
+        drain.cancel();
+        assert_eq!(retry_engine("hdpll", 1, true, left, &drain), None);
     }
 
     #[test]

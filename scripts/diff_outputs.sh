@@ -5,14 +5,22 @@
 #
 #   scripts/diff_outputs.sh <parent-rtlsat> <change-rtlsat>
 #
-# Three sets, each under the engines hdpll, hdpll-s and hdpll-sp:
-#   1. every single goal, with and without --no-preproc: exit code,
-#      stdout, the --trace file and the --stats-json record;
-#   2. every multi-goal line as one session, with and without
-#      --no-preproc, run with --stats --trace: exit code, stdout,
-#      stderr and the trace;
-#   3. every goal of the corpus, each sent twice in a row (a cache miss,
-#      then a hit), as one `serve --session-cache 4` stream.
+# Six sets:
+#   1. every single goal under hdpll, hdpll-s and hdpll-sp, with and
+#      without --no-preproc: exit code, stdout, the --trace file and the
+#      --stats-json record;
+#   2. every multi-goal line as one session under the same engines, with
+#      and without --no-preproc, run with --stats --trace: exit code,
+#      stdout, stderr and the trace;
+#   3. every goal of the corpus under the same engines, each sent twice
+#      in a row (a cache miss, then a hit), as one
+#      `serve --session-cache 4` stream;
+#   4. every single goal under all five engines with
+#      --fallback --check --stats: exit code, stdout and stderr;
+#   5. every goal of the corpus under all five engines, its netlist
+#      inline, as one plain `serve` stream (no session cache);
+#   6. every goal of the corpus under all five engines with
+#      "fallback":true,"check":true, as one plain `serve` stream.
 # Masked: search_time_ms, learn_time_ms, time_ms and file in records,
 # and the millisecond columns and search/learn times of --stats.
 #
@@ -29,6 +37,7 @@ work=$(mktemp -d)
 trap 'rm -rf "$work"' EXIT
 tmp=$work/tmp
 engines="hdpll hdpll-s hdpll-sp"
+all_engines="$engines eager lazy"
 
 mask() {
   sed -E \
@@ -48,6 +57,33 @@ corpus() {
     esac
     echo "$file ${goals%,}"
   done
+}
+
+# A netlist file as one JSON string body.
+inline() {
+  sed -e 's/\\/\\\\/g' -e 's/"/\\"/g' "$1" | awk '{ printf "%s\\n", $0 }'
+}
+
+# requests <engines> <source: file|inline> <copies> <extra JSON members>:
+# one serve request per corpus goal and engine, <copies> times each.
+requests() {
+  local n=0 file goals engine goal src
+  while read -r file goals; do
+    if [ "$2" = inline ]; then
+      src="\"netlist\":\"$(inline "$golden/$file")\""
+    else
+      src="\"file\":\"$golden/$file\""
+    fi
+    for engine in $1; do
+      for goal in ${goals//,/ }; do
+        for _ in $(seq "$3"); do
+          n=$((n + 1))
+          printf '{"id":"%s",%s,"goal":"%s","engine":"%s"%s}\n' \
+            "$n" "$src" "$goal" "$engine" "$4"
+        done
+      done
+    done
+  done < <(corpus)
 }
 
 # run <side> <binary>: writes everything <binary> prints to $work/<side>.
@@ -76,20 +112,21 @@ run() {
         esac
       done
     done
-  done < <(corpus)
-  local n=0 goal
-  while read -r file goals; do
-    for engine in $engines; do
-      for goal in ${goals//,/ }; do
-        for _ in 1 2; do
-          n=$((n + 1))
-          printf '{"id":"%s","file":"%s","goal":"%s","engine":"%s"}\n' \
-            "$n" "$golden/$file" "$goal" "$engine"
-        done
-      done
+    case $goals in *,*) continue ;; esac
+    for engine in $all_engines; do
+      code=0
+      "$bin" "$golden/$file" "$goals" --engine "$engine" --fallback --check --stats \
+        >"$tmp.out" 2>"$tmp.err" || code=$?
+      { echo "exit $code"; cat "$tmp.out"; echo "-- stderr"; mask <"$tmp.err"; } \
+        >"$out/$file.$goals.$engine.fallback-check"
     done
-  done < <(corpus) >"$tmp.requests"
-  "$bin" serve --session-cache 4 <"$tmp.requests" 2>/dev/null | mask >"$out/serve.jsonl"
+  done < <(corpus)
+  requests "$engines" file 2 "" >"$tmp.requests"
+  "$bin" serve --session-cache 4 <"$tmp.requests" 2>/dev/null | mask >"$out/serve-session-cache.jsonl"
+  requests "$all_engines" inline 1 "" >"$tmp.requests"
+  "$bin" serve <"$tmp.requests" 2>/dev/null | mask >"$out/serve-inline.jsonl"
+  requests "$all_engines" file 1 ',"fallback":true,"check":true' >"$tmp.requests"
+  "$bin" serve <"$tmp.requests" 2>/dev/null | mask >"$out/serve-fallback-check.jsonl"
 }
 
 run parent "$1"

@@ -27,15 +27,15 @@
 //! re-checked proof whenever the answering stage logged one, `--check`
 //! additionally cross-checks proof-less `UNSAT` answers with the eager
 //! bit-blast baseline under a tenth of the budget, and `--fallback`
-//! appends the degradation ladder (HDPLL activity → eager bit-blast)
-//! behind the selected engine so an exhausted budget can still be
-//! answered by a different strategy. `--dump-cnf` additionally writes
-//! the bit-blasted DIMACS CNF of the goal for use with external SAT
-//! solvers; `--proof` writes the checked `UNSAT` proof in the
-//! [`rtlsat::proof::format`] text format; `--stats` prints search
-//! statistics plus the per-stage supervisor report (including how the
-//! verdict was certified) to stderr, versioned by a `stats-format 1`
-//! header line.
+//! appends the retry chain below the selected engine (`hdpll-sp` and
+//! `hdpll-s` → `hdpll` → eager bit-blast, `lazy` → eager bit-blast) so
+//! an exhausted budget can still be answered by a different strategy.
+//! `--dump-cnf` additionally writes the bit-blasted DIMACS CNF of the
+//! goal for use with external SAT solvers; `--proof` writes the checked
+//! `UNSAT` proof in the [`rtlsat::proof::format`] text format; `--stats`
+//! prints search statistics plus the per-stage supervisor report
+//! (including how the verdict was certified) to stderr, versioned by a
+//! `stats-format 1` header line.
 //!
 //! Telemetry ([`rtlsat::obs`], DESIGN.md §2.9): `--trace <file>` arms
 //! the event tracer and writes the counter-stamped JSONL event stream
@@ -117,6 +117,28 @@ struct Args {
     preproc: bool,
 }
 
+/// The usage text of every `rtlsat` command.
+const USAGE: &str = "usage: rtlsat <netlist-file> <goal-signal> \
+     [--engine hdpll|hdpll-s|hdpll-sp|eager|lazy] \
+     [--timeout <secs>] [--check] [--fallback] \
+     [--check-timeout <secs>] [--no-preproc] \
+     [--dump-cnf <file>] [--proof <file>] [--stats] \
+     [--stats-json <file>] [--trace <file>]\n\
+     \x20      rtlsat preprocess <netlist-file> [<goal-signal>]\n\
+     \x20      rtlsat check-proof <netlist-file> <proof-file> \
+     [--preproc <bundle-file>]\n\
+     \x20      rtlsat check-trace <trace-file>\n\
+     \x20      rtlsat report <dir> [--csv]\n\
+     \x20      rtlsat profile <netlist-file> <goal-signal> \
+     [--engine <e>] [--timeout <secs>] [--no-preproc]\n\
+     \x20      rtlsat serve [--workers <n>] [--queue <n>] \
+     [--engine <e>] [--timeout <secs>] [--check] \
+     [--fallback] [--check-timeout <secs>] \
+     [--max-memory <bytes>] [--drain-timeout <secs>] \
+     [--socket <path>] [--metrics-every <n|Ns>] \
+     [--slow-ms <ms>] [--slow-dir <dir>] [--slow-ring <n>] \
+     [--no-telemetry] [--no-preproc]";
+
 fn parse_args() -> Result<Args, String> {
     let mut positional = Vec::new();
     let mut engine = "hdpll-sp".to_string();
@@ -168,28 +190,10 @@ fn parse_args() -> Result<Args, String> {
             "--trace" => {
                 trace = Some(it.next().ok_or("--trace needs a path")?);
             }
-            "--help" | "-h" => {
-                return Err("usage: rtlsat <netlist-file> <goal-signal> \
-                     [--engine hdpll|hdpll-s|hdpll-sp|eager|lazy] \
-                     [--timeout <secs>] [--check] [--fallback] \
-                     [--check-timeout <secs>] [--no-preproc] \
-                     [--dump-cnf <file>] [--proof <file>] [--stats] \
-                     [--stats-json <file>] [--trace <file>]\n\
-                     \x20      rtlsat preprocess <netlist-file> [<goal-signal>]\n\
-                     \x20      rtlsat check-proof <netlist-file> <proof-file> \
-                     [--preproc <bundle-file>]\n\
-                     \x20      rtlsat check-trace <trace-file>\n\
-                     \x20      rtlsat report <dir> [--csv]\n\
-                     \x20      rtlsat profile <netlist-file> <goal-signal> \
-                     [--engine <e>] [--timeout <secs>] [--no-preproc]\n\
-                     \x20      rtlsat serve [--workers <n>] [--queue <n>] \
-                     [--engine <e>] [--timeout <secs>] [--check] \
-                     [--fallback] [--check-timeout <secs>] \
-                     [--max-memory <bytes>] [--drain-timeout <secs>] \
-                     [--socket <path>] [--metrics-every <n|Ns>] \
-                     [--slow-ms <ms>] [--slow-dir <dir>] [--slow-ring <n>] \
-                     [--no-telemetry] [--no-preproc]"
-                    .into());
+            "--help" | "-h" => return Err(USAGE.into()),
+            // A typo must not change the solve silently.
+            other if other.starts_with('-') || positional.len() == 2 => {
+                return Err(format!("unexpected argument `{other}`\n{USAGE}"));
             }
             other => positional.push(other.to_string()),
         }

@@ -113,6 +113,31 @@ fn bad_usage_is_reported() {
 }
 
 #[test]
+fn unknown_flags_and_extra_positionals_are_usage_errors() {
+    let dir = std::env::temp_dir().join("rtlsat_cli_unknown_flag");
+    std::fs::create_dir_all(&dir).unwrap();
+    let netlist = write_netlist(&dir);
+    // A misspelt `--timeout` would otherwise solve with no budget, and a
+    // third positional would be dropped without a word.
+    for extra in [&["--timout", "5"][..], &["--stat"], &["extra"]] {
+        let out = bin()
+            .arg(&netlist)
+            .arg("hit")
+            .args(extra)
+            .output()
+            .expect("binary runs");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{extra:?}: {stderr}");
+        assert!(
+            stderr.contains(&format!("unexpected argument `{}`", extra[0])),
+            "{stderr}"
+        );
+        assert!(stderr.contains("usage: rtlsat"), "{stderr}");
+        assert!(out.stdout.is_empty(), "{extra:?}: no solve may run");
+    }
+}
+
+#[test]
 fn malformed_text_is_error_not_panic() {
     let dir = std::env::temp_dir().join("rtlsat_cli_malformed");
     std::fs::create_dir_all(&dir).unwrap();

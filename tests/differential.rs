@@ -10,11 +10,12 @@
 
 use proptest::prelude::*;
 
-use rtlsat::baselines::{default_supervisor, BaselineLimits, EagerSolver};
+use rtlsat::baselines::{BaselineLimits, EagerSolver};
 use rtlsat::hdpll::{
     ClauseDbConfig, HdpllResult, LearnConfig, RestartMode, Solver, SolverConfig,
 };
 use rtlsat::ir::eval;
+use rtlsat::serve::{build_supervisor, SolveOptions};
 
 mod common;
 use common::random_netlist;
@@ -120,7 +121,12 @@ proptest! {
         let (netlist, goal) = random_netlist(seed);
         let expected =
             verdict_of(&EagerSolver::new(BaselineLimits::default()).solve(&netlist, goal));
-        let result = default_supervisor(&netlist, None, true).solve(&netlist, goal);
+        let opts = SolveOptions {
+            fallback: true,
+            check: true,
+            ..SolveOptions::default()
+        };
+        let result = build_supervisor(&opts, &netlist).unwrap().solve(&netlist, goal);
         prop_assert_eq!(
             verdict_of(&result.verdict),
             expected,

@@ -8,15 +8,14 @@
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
-use rtlsat::baselines::default_supervisor;
 use rtl_bench::hotpath::{b13_sweep, fnv1a, B13_SWEEPS};
 use rtlsat::hdpll::{
     Assumption, Certification, ClauseDbConfig, HdpllResult, LearnConfig, Session, SessionCert,
-    Solver, SolverConfig,
+    Solver, SolverConfig, Supervisor,
 };
 use rtlsat::ir::{text, Netlist, SignalId};
 use rtlsat::proof::{format, resolve_goal, Checker};
-use rtlsat::serve::{session_rungs, SolveOptions};
+use rtlsat::serve::{build_supervisor, session_rungs, SolveOptions};
 
 struct Case {
     file: String,
@@ -24,6 +23,16 @@ struct Case {
     goal_name: String,
     goal: SignalId,
     unsat: bool,
+}
+
+/// The `--fallback` ladder of the default engine: `hdpll-sp`, then
+/// `hdpll`, then the eager bit-blast.
+fn fallback_supervisor(netlist: &Netlist) -> Supervisor {
+    let opts = SolveOptions {
+        fallback: true,
+        ..SolveOptions::default()
+    };
+    build_supervisor(&opts, netlist).expect("the default engine")
 }
 
 fn corpus_dir() -> PathBuf {
@@ -334,8 +343,8 @@ fn multi_query_sessions_match_manifest() {
 #[test]
 fn preproc_on_off_verdicts_identical() {
     for case in corpus() {
-        let on = default_supervisor(&case.netlist, None, false).solve(&case.netlist, case.goal);
-        let off = default_supervisor(&case.netlist, None, false)
+        let on = fallback_supervisor(&case.netlist).solve(&case.netlist, case.goal);
+        let off = fallback_supervisor(&case.netlist)
             .with_preproc(false)
             .solve(&case.netlist, case.goal);
         for (label, result) in [("preproc-on", &on), ("preproc-off", &off)] {
@@ -366,7 +375,7 @@ fn preproc_on_off_verdicts_identical() {
 #[test]
 fn supervised_certifies_every_unsat_with_a_proof() {
     for case in corpus() {
-        let result = default_supervisor(&case.netlist, None, false).solve(&case.netlist, case.goal);
+        let result = fallback_supervisor(&case.netlist).solve(&case.netlist, case.goal);
         if case.unsat {
             assert_eq!(
                 result.verdict,

@@ -15,16 +15,27 @@
 
 use proptest::prelude::*;
 
-use rtlsat::baselines::{default_supervisor, BaselineLimits, EagerSolver};
-use rtlsat::hdpll::{HdpllResult, LearnConfig, Solver, SolverConfig};
+use rtlsat::baselines::{BaselineLimits, EagerSolver};
+use rtlsat::hdpll::{HdpllResult, LearnConfig, Solver, SolverConfig, Supervisor};
 use rtlsat::ir::simplify::{
     bundle_parse, bundle_to_text, bundle_to_text_full, bundle_validate, simplify, simplify_full,
 };
-use rtlsat::ir::{eval, text, Op};
+use rtlsat::ir::{eval, text, Netlist, Op};
 use rtlsat::proof::Checker;
+use rtlsat::serve::{build_supervisor, SolveOptions};
 
 mod common;
 use common::random_netlist;
+
+/// The `--fallback` ladder of the default engine: `hdpll-sp`, then
+/// `hdpll`, then the eager bit-blast.
+fn fallback_supervisor(netlist: &Netlist) -> Supervisor {
+    let opts = SolveOptions {
+        fallback: true,
+        ..SolveOptions::default()
+    };
+    build_supervisor(&opts, netlist).expect("the default engine")
+}
 
 fn verdict_of(r: &HdpllResult) -> bool {
     match r {
@@ -125,8 +136,8 @@ proptest! {
     #[test]
     fn supervised_preproc_on_off_agree(seed in any::<u64>()) {
         let (netlist, goal) = random_netlist(seed);
-        let on = default_supervisor(&netlist, None, false).solve(&netlist, goal);
-        let off = default_supervisor(&netlist, None, false)
+        let on = fallback_supervisor(&netlist).solve(&netlist, goal);
+        let off = fallback_supervisor(&netlist)
             .with_preproc(false)
             .solve(&netlist, goal);
         prop_assert_eq!(

@@ -15,6 +15,7 @@ use rtlsat::hdpll::{
 };
 use rtlsat::ir::{eval, Netlist, SignalId};
 use rtlsat::itc99::cases::{BmcCase, Circuit, Expected};
+use rtlsat::serve::{session_rungs, SolveOptions};
 
 /// A known-SAT ITC'99 unrolling (`b01` property `p1` at 50 frames) —
 /// the acceptance-criteria workload.
@@ -300,7 +301,11 @@ fn panicking_session_rung_reports_its_panic_text() {
     let a = n.input_bool("a").unwrap();
     let word = n.input_word("word", 4).unwrap();
     // An assumption on a word-typed signal panics in every rung.
-    let mut ladder = SupervisedSession::new(&n);
+    let opts = SolveOptions {
+        fallback: true,
+        ..SolveOptions::default()
+    };
+    let mut ladder = SupervisedSession::with_rungs(&n, session_rungs(&opts).unwrap());
     let q = ladder.solve(&[Assumption::yes(word)]);
     assert!(q.answered_by.is_none());
     assert_eq!(q.reports.len(), 2);
