@@ -8,7 +8,8 @@
 //! the FM final checks' share of it); the end-to-end benchmark's five
 //! b13 BMC session sweeps (default session rung, preprocessing on;
 //! counters summed per sweep, and for each 40-depth sweep the mean
-//! answer time and heap allocations at depths 1–10 against 30–39); and
+//! answer time and heap allocations at depths 1–10 against 30–39, for
+//! the shorter `p8` sweep the conflicts of each answer); and
 //! `mux_search` 6–12 under each engine with proof logging, printing the
 //! verdict, the conflict count, an FNV-1a digest of the proof text and
 //! whether a fresh checker accepts it. Diff two builds' output to see
@@ -129,7 +130,10 @@ fn main() {
         );
         // How an answer's cost grows with the unrolling: flat when an
         // answer pays for its own frame and search only.
-        if depths >= 40 {
+        if depths < 40 {
+            let by_depth: Vec<String> = costs.iter().map(|a| a.conflicts.to_string()).collect();
+            println!("b13 {prop} conflicts by depth: {}", by_depth.join(" "));
+        } else {
             let mean = |depths: std::ops::Range<usize>| {
                 let n = depths.len() as f64;
                 let answers = &costs[depths];

@@ -380,6 +380,8 @@ pub struct AnswerCost {
     pub time: Duration,
     /// Heap allocations, as counted by the caller's `allocations`.
     pub allocs: u64,
+    /// Conflicts the answering session's search spent on it.
+    pub conflicts: u64,
 }
 
 /// [`b13_sweep`], also returning the cost of every answer.
@@ -403,6 +405,8 @@ pub fn b13_sweep_timed(
     let mut proofs = Vec::with_capacity(depths);
     let mut costs = Vec::with_capacity(depths);
     for depth in 0..depths {
+        let conflicts = |l: &SupervisedSession| l.stats().map_or(0, |s| s.engine.conflicts);
+        let before = conflicts(&ladder);
         let allocs = allocations();
         let start = Instant::now();
         if depth > 0 {
@@ -413,6 +417,7 @@ pub fn b13_sweep_timed(
         costs.push(AnswerCost {
             time: start.elapsed(),
             allocs: allocations() - allocs,
+            conflicts: conflicts(&ladder) - before,
         });
         assert_eq!(q.certified.cert, SessionCert::ProofChecked, "b13 {prop}@{depth}");
         let proof = q.certified.proof.as_ref().expect("checked implies proof");

@@ -90,6 +90,13 @@ pub(crate) struct Compiled {
     /// `signal index → variable id`; identity for a single-segment
     /// compile. Its length is the number of netlist signals consumed.
     pub sig_var: Vec<VarId>,
+    /// `variable → the constraints defining it`: a signal's variable is
+    /// defined by the constraints its node compiled to (inputs and
+    /// constants by none); an auxiliary by none of its own, since it
+    /// only occurs in its node's constraints. Grown per segment like
+    /// `sig_var`; the cone of a session query walks it
+    /// ([`crate::engine::Cone`]).
+    pub var_def: Vec<Span>,
     /// Number of netlist outputs consumed (their fanout is seeded).
     outputs_consumed: usize,
 }
@@ -206,6 +213,7 @@ impl Compiled {
             decision_vars: Vec::new(),
             fanout_seed: Vec::new(),
             sig_var: Vec::new(),
+            var_def: Vec::new(),
             outputs_consumed: 0,
         }
     }
@@ -238,7 +246,11 @@ impl Compiled {
             cons: &mut self.cons,
             var_pool: &mut self.var_pool,
         };
-        compile_nodes(&mut b, netlist, from, &sig_var);
+        // The segment's signal variables exist by now; its auxiliaries,
+        // allocated while compiling, define nothing of their own.
+        self.var_def.resize(b.init_dom.len(), Span::empty_at(0));
+        compile_nodes(&mut b, netlist, from, &sig_var, &mut self.var_def);
+        self.var_def.resize(self.init_dom.len(), Span::empty_at(0));
         self.sig_var = sig_var;
 
         // Watch lists: grow to the new variable count, hook the new
@@ -295,9 +307,16 @@ impl Compiled {
 
 /// Compiles each node of `netlist.signal_ids().skip(from)` into
 /// constraints over `sig_var`-mapped variables (auxiliaries allocated
-/// on the fly).
-fn compile_nodes(b: &mut Builder<'_>, netlist: &Netlist, from: usize, sig_var: &[VarId]) {
+/// on the fly), recording each node's constraints in `var_def`.
+fn compile_nodes(
+    b: &mut Builder<'_>,
+    netlist: &Netlist,
+    from: usize,
+    sig_var: &[VarId],
+    var_def: &mut [Span],
+) {
     for id in netlist.signal_ids().skip(from) {
+        let start = b.cons.len();
         let out = sig_var[id.index()];
         let v = |s: rtl_ir::SignalId| sig_var[s.index()];
         let w_out = netlist.ty(id).width();
@@ -411,6 +430,10 @@ fn compile_nodes(b: &mut Builder<'_>, netlist: &Netlist, from: usize, sig_var: &
                 b: v(*rhs),
             }),
         }
+        var_def[out.index()] = Span {
+            start: start as u32,
+            len: (b.cons.len() - start) as u32,
+        };
     }
 }
 

@@ -47,7 +47,9 @@ impl LearnWeights {
 }
 
 /// Picks the next decision: the unassigned Boolean decision variable with
-/// the highest combined activity, or `None` when all are assigned.
+/// the highest combined activity, or `None` when all are assigned. Under
+/// a session query's cone ([`crate::engine::Cone`]) only the cone's
+/// variables count.
 ///
 /// `use_saved_phase` enables phase saving for the value choice. The
 /// activity strategy passes `true` — repeating the last value rebuilds
@@ -61,7 +63,7 @@ pub(crate) fn pick_activity(
 ) -> Option<(VarId, bool)> {
     let mut best: Option<(VarId, f64)> = None;
     for &v in &engine.compiled.decision_vars {
-        if engine.dom(v).is_fixed() {
+        if engine.dom(v).is_fixed() || !engine.cone.holds_var(v) {
             continue;
         }
         let mut score = engine.activity[v.index()];

@@ -28,7 +28,7 @@ pub(crate) struct ConflictInfo {
 
 /// What a conflict falsified: the last step of the learned lemma's
 /// derivation.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub(crate) enum Falsified {
     /// A clause (proof logging cites it as an antecedent of the lemma).
     Clause(u32),
@@ -36,10 +36,14 @@ pub(crate) enum Falsified {
     /// — no select value of this mux justifies its output. It is the
     /// lemma's first derivation hint.
     Constraint(u32),
-    /// The arithmetic final check's solution box. Bounds propagation
-    /// cannot re-derive a Fourier–Motzkin refutation, so the lemma
-    /// carries no derivation hints.
-    Box,
+    /// The arithmetic final check's solution box (a theory lemma).
+    /// Bounds propagation re-derives the Fourier–Motzkin refutation
+    /// only through the case split FM made, so the lemma carries both:
+    /// `tags`, the constraints of FM's infeasible subset, seed its
+    /// derivation hints, and `diseqs`, the asserted disequalities FM
+    /// split into `a < b` and `a > b`, become the step's recorded
+    /// splits (DESIGN.md §2.8).
+    Box { tags: Vec<u32>, diseqs: Vec<u32> },
     /// Nothing: an injected spurious conflict.
     Nothing,
 }
@@ -117,9 +121,12 @@ pub(crate) struct Analyzed {
     pub used: Vec<u32>,
     /// The lemma's derivation hints (sorted, deduplicated): the
     /// constraint reasons of the entries the walk expanded, plus the
-    /// falsified constraint. `None` for an arithmetic conflict
-    /// ([`Falsified::Box`]).
-    pub hints: Option<Vec<u32>>,
+    /// falsified constraint, or the infeasible subset of an arithmetic
+    /// conflict ([`Falsified::Box`]).
+    pub hints: Vec<u32>,
+    /// The disequality constraints the final check split on, in split
+    /// order (empty unless the conflict was arithmetic).
+    pub diseqs: Vec<u32>,
 }
 
 /// [`AnalysisBufs::seen`] state of a trail entry reached by the current
@@ -148,6 +155,84 @@ struct AnalysisBufs {
     stack: Vec<u32>,
     /// Entries whose antecedents were walked in the current analysis.
     steps: u32,
+}
+
+/// The cone of influence of a session query's assumptions (DESIGN.md
+/// §2.3): their variables, and transitively every variable and
+/// constraint defining them ([`Compiled::var_def`]), auxiliaries
+/// included. While a cone is built, decisions and the final check stay
+/// inside it; propagation stays global.
+///
+/// Membership is an epoch stamp per variable and per constraint, so
+/// building a cone costs O(cone) and dropping one costs nothing; the
+/// stamp vectors only grow with the problem.
+#[cfg_attr(test, derive(Clone))]
+#[derive(Default)]
+pub(crate) struct Cone {
+    /// Stamp of the current cone; marks equal to it are members.
+    epoch: u32,
+    /// Whether a cone scopes the current search (none: the whole
+    /// problem does).
+    built: bool,
+    var_mark: Vec<u32>,
+    cons_mark: Vec<u32>,
+    /// The walk's worklist, kept for its capacity.
+    stack: Vec<VarId>,
+}
+
+impl Cone {
+    /// Builds the cone of `roots` over `compiled`.
+    pub fn build(&mut self, compiled: &Compiled, roots: impl IntoIterator<Item = VarId>) {
+        self.epoch = self.epoch.wrapping_add(1);
+        if self.epoch == 0 {
+            self.var_mark.fill(0);
+            self.cons_mark.fill(0);
+            self.epoch = 1;
+        }
+        let epoch = self.epoch;
+        if self.var_mark.len() < compiled.init_dom.len() {
+            self.var_mark.resize(compiled.init_dom.len(), 0);
+        }
+        if self.cons_mark.len() < compiled.cons.len() {
+            self.cons_mark.resize(compiled.cons.len(), 0);
+        }
+        for v in roots {
+            if std::mem::replace(&mut self.var_mark[v.index()], epoch) != epoch {
+                self.stack.push(v);
+            }
+        }
+        while let Some(v) = self.stack.pop() {
+            for ci in compiled.var_def[v.index()].range() {
+                self.cons_mark[ci] = epoch;
+                for &u in compiled.cons_vars(ci as u32) {
+                    if std::mem::replace(&mut self.var_mark[u.index()], epoch) != epoch {
+                        self.stack.push(u);
+                    }
+                }
+            }
+        }
+        self.built = true;
+    }
+
+    /// Drops the cone: the whole problem is in scope again.
+    pub fn clear(&mut self) {
+        self.built = false;
+    }
+
+    /// Whether a cone scopes the search.
+    pub fn is_built(&self) -> bool {
+        self.built
+    }
+
+    /// Whether variable `v` is in scope.
+    pub fn holds_var(&self, v: VarId) -> bool {
+        !self.built || self.var_mark[v.index()] == self.epoch
+    }
+
+    /// Whether constraint `ci` is in scope.
+    pub fn holds_cons(&self, ci: u32) -> bool {
+        !self.built || self.cons_mark[ci as usize] == self.epoch
+    }
 }
 
 /// Cumulative engine statistics.
@@ -267,6 +352,8 @@ pub(crate) struct Engine {
     change_buf: Vec<(VarId, Dom)>,
     /// Conflict-analysis scratch state, kept across conflicts.
     analysis: AnalysisBufs,
+    /// The scope of decisions and the final check ([`Cone`]).
+    pub cone: Cone,
     /// Live literal count across the clause database, maintained by
     /// [`Engine::add_clause`] / [`Engine::delete_clause`] so the memory
     /// estimate never walks the database.
@@ -318,6 +405,7 @@ impl Engine {
             ant_pool: Vec::new(),
             change_buf: Vec::new(),
             analysis: AnalysisBufs::default(),
+            cone: Cone::default(),
             clause_lits: 0,
             budget: BudgetGuard::default(),
             aborted: None,
@@ -1399,7 +1487,7 @@ impl Engine {
         uip: usize,
         conflict: &ConflictInfo,
         mut used: Vec<u32>,
-        hints: Vec<u32>,
+        mut hints: Vec<u32>,
     ) -> Analyzed {
         let mut rest: Vec<u32> = bufs
             .touched
@@ -1429,6 +1517,8 @@ impl Engine {
         debug_assert!(blevel < level);
         used.sort_unstable();
         used.dedup();
+        hints.sort_unstable();
+        hints.dedup();
         for &cid in &used {
             self.bump_clause(cid);
         }
@@ -1438,7 +1528,8 @@ impl Engine {
             lits,
             blevel,
             used,
-            hints: conflict.falsified.hints(hints),
+            hints,
+            diseqs: conflict.falsified.diseqs(),
         }
     }
 
@@ -1679,6 +1770,8 @@ impl Engine {
                 debug_assert!(blevel < lmax);
                 used.sort_unstable();
                 used.dedup();
+                hints.sort_unstable();
+                hints.dedup();
                 for &cid in &used {
                     self.bump_clause(cid);
                 }
@@ -1691,7 +1784,8 @@ impl Engine {
                     lits,
                     blevel,
                     used,
-                    hints: conflict.falsified.hints(hints),
+                    hints,
+                    diseqs: conflict.falsified.diseqs(),
                 });
             }
             // Expand the latest marked entry at lmax.
@@ -1725,25 +1819,23 @@ impl Engine {
 
 impl Falsified {
     /// The analysis accumulators a conflict starts from: the falsified
-    /// clause as the first `used` entry, the falsified constraint as
-    /// the first hint.
-    fn derivation_seeds(self) -> (Vec<u32>, Vec<u32>) {
+    /// clause as the first `used` entry, the falsified constraint or
+    /// the final check's infeasible subset as the first hints.
+    fn derivation_seeds(&self) -> (Vec<u32>, Vec<u32>) {
         match self {
-            Falsified::Clause(c) => (vec![c], Vec::new()),
-            Falsified::Constraint(ci) => (Vec::new(), vec![ci]),
-            Falsified::Box | Falsified::Nothing => (Vec::new(), Vec::new()),
+            Falsified::Clause(c) => (vec![*c], Vec::new()),
+            Falsified::Constraint(ci) => (Vec::new(), vec![*ci]),
+            Falsified::Box { tags, .. } => (Vec::new(), tags.clone()),
+            Falsified::Nothing => (Vec::new(), Vec::new()),
         }
     }
 
-    /// The lemma's hints from those the walk collected: sorted and
-    /// deduplicated, or `None` when the conflict was arithmetic.
-    fn hints(self, mut hints: Vec<u32>) -> Option<Vec<u32>> {
-        if self == Falsified::Box {
-            return None;
+    /// The disequalities the final check split on.
+    fn diseqs(&self) -> Vec<u32> {
+        match self {
+            Falsified::Box { diseqs, .. } => diseqs.clone(),
+            _ => Vec::new(),
         }
-        hints.sort_unstable();
-        hints.dedup();
-        Some(hints)
     }
 }
 

@@ -2,7 +2,12 @@
 //! assigned and interval constraint propagation is conflict-free, the
 //! solution box `P = Π D(vᵢ)` is checked for an integer point solution by
 //! Fourier–Motzkin elimination. A point certifies SAT; an infeasible subset
-//! is mapped back to trail entries and learned as a hybrid clause.
+//! is mapped back to trail entries and learned as a hybrid clause, which
+//! carries the subset's constraints and the disequalities FM split on so
+//! the proof checker can re-derive it ([`Falsified::Box`]). Under a
+//! session query's cone ([`crate::engine::Cone`]) the box and the
+//! constraints are the cone's alone; every other variable keeps its
+//! domain, and a model takes its low bound there.
 
 use std::collections::HashMap;
 
@@ -44,6 +49,8 @@ struct SplitOption {
 struct Split {
     options: Vec<SplitOption>,
     tag: usize,
+    /// A `≠` predicate split into `a < b` and `a > b`.
+    diseq: bool,
 }
 
 pub(crate) fn final_check(engine: &mut Engine) -> FinalOutcome {
@@ -56,7 +63,7 @@ pub(crate) fn final_check(engine: &mut Engine) -> FinalOutcome {
     for i in 0..engine.doms.len() {
         let v = VarId(i as u32);
         if let Dom::W(iv) = engine.dom(v) {
-            if !iv.is_point() {
+            if !iv.is_point() && engine.cone.holds_var(v) {
                 fm_of.insert(v, solver_of.len() as u32);
                 solver_of.push(v);
                 bounds.push(*iv);
@@ -88,6 +95,9 @@ pub(crate) fn final_check(engine: &mut Engine) -> FinalOutcome {
     let mut splits: Vec<Split> = Vec::new();
     let num_cons = engine.compiled.cons.len();
     for ci in 0..num_cons {
+        if !engine.cone.holds_cons(ci as u32) {
+            continue;
+        }
         let kind = &engine.compiled.cons[ci].kind;
         match *kind {
             CKind::Not { .. } | CKind::And { .. } | CKind::Or { .. } | CKind::Xor { .. } => {
@@ -143,6 +153,7 @@ pub(crate) fn final_check(engine: &mut Engine) -> FinalOutcome {
                             },
                         ],
                         tag: ci,
+                        diseq: true,
                     }),
                 }
             }
@@ -197,6 +208,7 @@ pub(crate) fn final_check(engine: &mut Engine) -> FinalOutcome {
                                 },
                             ],
                             tag: ci,
+                            diseq: false,
                         });
                     }
                 }
@@ -236,9 +248,10 @@ pub(crate) fn final_check(engine: &mut Engine) -> FinalOutcome {
             // Map the infeasible subset back to trail entries: the latest
             // entries of the cited constraints' variables and of the cited
             // box bounds.
+            let tags: Vec<u32> = tags.into_iter().map(|t| t as u32).collect();
             let mut antecedents: Vec<u32> = Vec::new();
-            for tag in tags {
-                for &v in engine.compiled.cons_vars(tag as u32) {
+            for &tag in &tags {
+                for &v in engine.compiled.cons_vars(tag) {
                     if let Some(i) = engine.latest[v.index()] {
                         antecedents.push(i);
                     }
@@ -252,9 +265,16 @@ pub(crate) fn final_check(engine: &mut Engine) -> FinalOutcome {
             }
             antecedents.sort_unstable();
             antecedents.dedup();
+            // Every split was branched on (an infeasible box refutes all
+            // leaves); the disequalities among them are recorded.
+            let diseqs = splits
+                .iter()
+                .filter(|s| s.diseq)
+                .map(|s| s.tag as u32)
+                .collect();
             FinalOutcome::Conflict(ConflictInfo {
                 antecedents,
-                falsified: Falsified::Box,
+                falsified: Falsified::Box { tags, diseqs },
             })
         }
     }

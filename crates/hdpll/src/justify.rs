@@ -161,13 +161,17 @@ impl StructuralIndex {
     }
 }
 
-/// The structural `Decide()` (Algorithm 2).
+/// The structural `Decide()` (Algorithm 2). Under a session query's
+/// cone ([`crate::engine::Cone`]) the frontier is the cone's part of it.
 pub(crate) fn pick_structural(
     engine: &Engine,
     index: &StructuralIndex,
     weights: Option<&LearnWeights>,
 ) -> Structural {
     for &ci in index.candidates.iter().rev() {
+        if !engine.cone.holds_cons(ci) {
+            continue;
+        }
         let kind = &engine.compiled.cons[ci as usize].kind;
         match kind {
             CKind::And { out, ins } | CKind::Or { out, ins } => {

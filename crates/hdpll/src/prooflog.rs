@@ -9,6 +9,10 @@
 //! steps the clause-DB reduction retired before it. Recording is all
 //! this file does during search: no checker code runs here.
 //!
+//! A Fourier–Motzkin conflict lemma is recorded with the disequalities
+//! FM split on ([`PSplit::Diseq`]), the one derivation detail the
+//! checker cannot rediscover by propagation.
+//!
 //! Certification admits each recorded step exactly once, in order, in
 //! `rtl-proof` ([`ProofLog::certify_pending`] → [`Checker::certify`]):
 //! a one-shot Unsat verdict hands its log to a fresh goal checker
@@ -320,6 +324,9 @@ impl ProofLog {
                 var: canon(var),
                 at,
             },
+            // Constraints are numbered in node order in every
+            // segmentation, so their ids need no translation.
+            PSplit::Diseq { cons } => PSplit::Diseq { cons },
         };
         let tr_step = |s: &Step| Step {
             lits: s.lits.iter().map(tr_lit).collect(),

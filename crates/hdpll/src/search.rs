@@ -2,11 +2,14 @@
 //! one-shot solves ([`crate::Solver`]) and session queries
 //! ([`crate::Session`]). It runs under an assumption prefix, assumption
 //! `i` pinned as the decision of level `i + 1`; a one-shot solve runs it
-//! with an empty prefix, its goal asserted at level 0 beforehand.
+//! with an empty prefix, its goal asserted at level 0 beforehand. Past a
+//! non-empty prefix it decides and final-checks inside the assumptions'
+//! cone of influence ([`crate::engine::Cone`]).
 
 use std::time::{Duration, Instant};
 
 use rtl_obs::{ObsHandle, PhaseAcc};
+use rtl_proof::PSplit;
 
 use crate::decide::{pick_activity, LearnWeights};
 use crate::engine::{ConflictInfo, Engine, EngineStats, Propagation};
@@ -116,6 +119,7 @@ impl Search<'_> {
         );
         let start = Instant::now();
         acc.begin();
+        engine.cone.clear();
         let outcome = loop {
             match engine.propagate() {
                 Propagation::Conflict(conflict) => {
@@ -149,6 +153,13 @@ impl Search<'_> {
                 }
                 acc.tick(P_DECIDE);
                 continue;
+            }
+            // Past the prefix, decisions and the final check stay inside
+            // the assumptions' cone, built at the first decision: a query
+            // that propagation answers never pays for it.
+            if !self.assumptions.is_empty() && !engine.cone.is_built() {
+                let roots = self.assumptions.iter().map(|&(var, _)| var);
+                engine.cone.build(&engine.compiled, roots);
             }
             let decision = match self.index {
                 Some(index) => match pick_structural(engine, index, self.weights) {
@@ -205,11 +216,15 @@ impl Search<'_> {
                     None => false,
                     Some(mut a) => {
                         let used = std::mem::take(&mut a.used);
-                        let hints = a.hints.take();
+                        let hints = std::mem::take(&mut a.hints);
+                        let splits: Vec<PSplit> = std::mem::take(&mut a.diseqs)
+                            .into_iter()
+                            .map(|cons| PSplit::Diseq { cons })
+                            .collect();
                         let cid = engine.learn_and_backtrack(a);
                         acc.tick(P_ANALYZE);
                         if let Some(p) = proof.as_mut() {
-                            p.log_engine_clause(engine, cid, Vec::new(), &used, hints);
+                            p.log_engine_clause(engine, cid, splits, &used, Some(hints));
                             acc.tick(P_PROOF);
                         }
                         // Scheduled restart, then DB housekeeping

@@ -438,12 +438,8 @@ impl Session {
         self.obs.profile_enter("query");
         let certified = self.run_query(assumptions, cancel);
         self.obs.profile_exit();
-        let outcome = match &certified.result {
-            HdpllResult::Sat(_) => "SAT",
-            HdpllResult::Unsat => "UNSAT",
-            HdpllResult::Unknown => "UNKNOWN",
-        };
-        self.obs.session_query_end(query, outcome);
+        self.obs
+            .session_query_end(query, certified.result.label());
         certified
     }
 

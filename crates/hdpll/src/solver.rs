@@ -162,6 +162,17 @@ pub enum HdpllResult {
 }
 
 impl HdpllResult {
+    /// The verdict's label in every record and trace: `SAT`, `UNSAT` or
+    /// `UNKNOWN`.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            HdpllResult::Sat(_) => "SAT",
+            HdpllResult::Unsat => "UNSAT",
+            HdpllResult::Unknown => "UNKNOWN",
+        }
+    }
+
     /// The input witness, if satisfiable.
     #[must_use]
     pub fn model(&self) -> Option<&HashMap<SignalId, i64>> {

@@ -1368,6 +1368,7 @@ mod analysis_walk {
                 assert_eq!(g.blevel, w.blevel, "backtrack level");
                 assert_eq!(g.used, w.used, "antecedent clauses");
                 assert_eq!(g.hints, w.hints, "derivation hints");
+                assert_eq!(g.diseqs, w.diseqs, "disequality splits");
                 // The UIP first, then the other marks in descending
                 // trail order.
                 let at = |l: &HLit| {
@@ -1624,16 +1625,24 @@ mod analysis_walk {
         // The walk expands entries 5 and 4; entry 2 stays in the cut.
         let got = analyze_both(&mut e, &conflict(Falsified::Constraint(20)), false).unwrap();
         assert_eq!(got.lits, vec![not(b[2]), outside(w[0], 4, 6)]);
-        assert_eq!(got.hints, Some(vec![12, 13, 20]));
+        assert_eq!(got.hints, vec![12, 13, 20]);
         // Boolean-only learning also expands the word ancestry 2 → 1.
         let got = analyze_both(&mut e, &conflict(Falsified::Constraint(20)), true).unwrap();
-        assert_eq!(got.hints, Some(vec![10, 11, 12, 13, 20]));
+        assert_eq!(got.hints, vec![10, 11, 12, 13, 20]);
         // A falsified clause is an antecedent, not a hint.
         let got = analyze_both(&mut e, &conflict(Falsified::Clause(clause)), false).unwrap();
-        assert_eq!((got.used, got.hints), (vec![clause], Some(vec![12, 13])));
-        // An arithmetic conflict carries no hints at all.
-        let got = analyze_both(&mut e, &conflict(Falsified::Box), false).unwrap();
-        assert_eq!(got.hints, None);
+        assert_eq!((got.used, got.hints), (vec![clause], vec![12, 13]));
+        assert!(got.diseqs.is_empty());
+        // An arithmetic conflict's hints are the final check's
+        // infeasible subset and the expanded entries; its disequality
+        // splits ride along in split order.
+        let fm = Falsified::Box {
+            tags: vec![30, 13, 21],
+            diseqs: vec![30, 21],
+        };
+        let got = analyze_both(&mut e, &conflict(fm), false).unwrap();
+        assert_eq!(got.hints, vec![12, 13, 21, 30]);
+        assert_eq!(got.diseqs, vec![30, 21]);
     }
 
     #[test]
@@ -2093,9 +2102,13 @@ mod grown_structures {
     use rtl_ir::{analysis, Netlist};
 
     use super::analysis_walk::{lcg, random_steps};
+    use rtl_ir::{Op, SignalId};
+
     use super::{step_strategy, RandomSignals};
-    use crate::compile::Compiled;
+    use crate::compile::{compile, Compiled};
+    use crate::engine::Cone;
     use crate::session::{Assumption, Session, SessionCert};
+    use crate::types::VarId;
     use crate::{LearnConfig, SolverConfig};
 
     /// After every extend of the end-to-end benchmark's five b13 BMC
@@ -2174,8 +2187,105 @@ mod grown_structures {
         }
     }
 
+    /// The cone of `roots` from scratch: the transitive fan-in of the
+    /// root signals over the netlist, and the constraints and
+    /// auxiliaries of those signals' nodes in a one-segment compile
+    /// (where signal `i` is variable `i` and auxiliary `k` follows all
+    /// signals). Signal indices, constraint ids and auxiliary ranks,
+    /// each sorted. A product with 0 does not depend on its operand:
+    /// its compiled row drops the zero term.
+    fn cone_from_scratch(n: &Netlist, roots: &[SignalId]) -> (Vec<usize>, Vec<u32>, Vec<usize>) {
+        let mut seen = vec![false; n.len()];
+        let mut stack = roots.to_vec();
+        while let Some(s) = stack.pop() {
+            if !std::mem::replace(&mut seen[s.index()], true)
+                && !matches!(n.op(s), Op::MulConst(_, 0))
+            {
+                stack.extend(n.op(s).operands());
+            }
+        }
+        let signals: Vec<usize> = (0..n.len()).filter(|&i| seen[i]).collect();
+        let fresh = compile(n);
+        let cons: Vec<u32> = signals
+            .iter()
+            .flat_map(|&i| fresh.var_def[i].range().map(|ci| ci as u32))
+            .collect();
+        let mut aux: Vec<usize> = cons
+            .iter()
+            .flat_map(|&ci| fresh.cons_vars(ci).iter().map(|v| v.index()))
+            .filter(|&v| v >= n.len())
+            .map(|v| v - n.len())
+            .collect();
+        aux.sort_unstable();
+        aux.dedup();
+        let mut cons = cons;
+        cons.sort_unstable();
+        (signals, cons, aux)
+    }
+
+    /// The same sets read off a cone built over a grown compile, its
+    /// auxiliaries ranked by ascending variable id (the order a
+    /// one-segment compile allocates them in).
+    fn cone_as_built(c: &Compiled, cone: &Cone) -> (Vec<usize>, Vec<u32>, Vec<usize>) {
+        let signals = (0..c.sig_var.len())
+            .filter(|&i| cone.holds_var(c.sig_var[i]))
+            .collect();
+        let cons = (0..c.cons.len() as u32).filter(|&ci| cone.holds_cons(ci)).collect();
+        let mut is_signal = vec![false; c.init_dom.len()];
+        for v in &c.sig_var {
+            is_signal[v.index()] = true;
+        }
+        let aux = (0..c.init_dom.len())
+            .filter(|&v| !is_signal[v])
+            .enumerate()
+            .filter(|&(_, v)| cone.holds_var(VarId(v as u32)))
+            .map(|(rank, _)| rank)
+            .collect();
+        (signals, cons, aux)
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// A cone built over a compile grown segment by segment, its
+        /// marks reused across builds and growth, equals the cone of
+        /// the same roots built from scratch over the whole netlist.
+        #[test]
+        fn grown_cone_matches_a_from_scratch_fan_in(
+            steps in proptest::collection::vec(step_strategy(), 1..40),
+            cuts in proptest::collection::vec(any::<usize>(), 0..5),
+            picks in proptest::collection::vec(any::<usize>(), 1..4),
+        ) {
+            let mut n = Netlist::new("grow");
+            let mut sigs = RandomSignals::seed(&mut n);
+            let mut cuts: Vec<usize> = cuts.iter().map(|c| c % (steps.len() + 1)).collect();
+            cuts.sort_unstable();
+            cuts.push(steps.len());
+            let mut compiled = Compiled::empty();
+            let mut cone = Cone::default();
+            let mut done = 0;
+            for (k, &cut) in cuts.iter().enumerate() {
+                for step in &steps[done..cut] {
+                    sigs.apply(&mut n, step);
+                }
+                done = cut;
+                compiled.extend(&n);
+                for (j, &pick) in picks.iter().enumerate() {
+                    let roots: Vec<SignalId> = picks[..=j]
+                        .iter()
+                        .map(|&p| n.signal_ids().nth((p ^ pick) % n.len()).unwrap())
+                        .collect();
+                    cone.build(&compiled, roots.iter().map(|&s| compiled.var_of(s)));
+                    prop_assert_eq!(
+                        cone_as_built(&compiled, &cone),
+                        cone_from_scratch(&n, &roots),
+                        "segment {} roots {:?}", k, roots
+                    );
+                    cone.clear();
+                    prop_assert!(cone.holds_var(compiled.var_of(roots[0])));
+                }
+            }
+        }
 
         /// A compile grown over random split points seeds each new
         /// segment's variables with the fanout a count over the whole

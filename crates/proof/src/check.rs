@@ -8,12 +8,17 @@
 //! units). To admit a step it clones the base, asserts the negation of
 //! every literal of the lemma, and searches for an empty domain; the
 //! lemma is implied iff every branch of the (given) split tree dies.
+//!
+//! A split names a Boolean variable, a word variable and a point, or —
+//! the case split of a Fourier–Motzkin lemma — an asserted disequality
+//! `a ≠ b`, whose two sides each hold a strict order between `a` and
+//! `b` for their whole subtree ([`PSplit::Diseq`]).
 
 use std::collections::VecDeque;
 use std::ops::Range;
 
 use rtl_interval::{contract, Interval, Tribool};
-use rtl_ir::{Netlist, SignalId};
+use rtl_ir::{CmpOp, Netlist, SignalId};
 
 use crate::lower::{lower, Lowered, PCons, VDom};
 use crate::{resolve_goal, PLit, PSplit, Proof, Step};
@@ -594,7 +599,116 @@ impl Ctx<'_> {
         true
     }
 
+    /// Runs the fixpoint from the seeds, then re-applies the active
+    /// strict orders (`orders`, pairs `a < b`) and the fixpoint until no
+    /// order narrows. Each round an order narrows costs one node of
+    /// `nodes`. `Ok(false)` on a conflict.
+    fn settle(
+        &self,
+        doms: &mut [VDom],
+        scratch: &mut Scratch,
+        seed_vars: &[u32],
+        seed_clauses: &[u32],
+        orders: &[(u32, u32)],
+        nodes: &mut u64,
+    ) -> Result<bool, RefuteFail> {
+        let mut seeds = seed_vars.to_vec();
+        let mut clauses = seed_clauses;
+        loop {
+            if !self.fixpoint(doms, scratch, &seeds, 0..0, clauses) {
+                return Ok(false);
+            }
+            clauses = &[];
+            seeds.clear();
+            for &(a, b) in orders {
+                scratch.cons_steps += 1;
+                let (da, db) = (doms[a as usize], doms[b as usize]);
+                let mut changes = Vec::new();
+                let narrowed = contract::cmp(CmpOp::Lt, da.as_interval(), db.as_interval())
+                    .ok_or(())
+                    .and_then(|(ia, ib)| {
+                        meet_interval(&mut changes, a, da, ia)?;
+                        meet_interval(&mut changes, b, db, ib)
+                    });
+                if narrowed.is_err() {
+                    return Ok(false);
+                }
+                for (v, d) in changes {
+                    doms[v as usize] = d;
+                    seeds.push(v);
+                }
+            }
+            if seeds.is_empty() {
+                return Ok(true);
+            }
+            if *nodes == 0 {
+                return Err(RefuteFail::Budget);
+            }
+            *nodes -= 1;
+        }
+    }
+
+    /// The sides of `split` under `doms`, in replay order; `None` when
+    /// a disequality's premise fails (its constraint is not an asserted
+    /// disequality here).
+    fn sides(&self, doms: &[VDom], split: PSplit) -> Option<Vec<Side>> {
+        let narrowed = |var: u32, dom: VDom| {
+            let mut side = doms.to_vec();
+            side[var as usize] = dom;
+            Side {
+                doms: side,
+                seed: Some(var),
+                order: None,
+            }
+        };
+        match split {
+            PSplit::Bool { var } => {
+                let cur = doms[var as usize].tri();
+                Some(
+                    [false, true]
+                        .into_iter()
+                        .filter(|&value| cur.to_bool().is_none_or(|c| c == value))
+                        .map(|value| narrowed(var, VDom::B(Tribool::from(value))))
+                        .collect(),
+                )
+            }
+            PSplit::Word { var, at } => {
+                let cur = doms[var as usize].iv();
+                let low = (cur.lo() <= at).then(|| Interval::new(cur.lo(), cur.hi().min(at)));
+                let high = (cur.hi() > at).then(|| Interval::new(cur.lo().max(at + 1), cur.hi()));
+                Some(
+                    [low, high]
+                        .into_iter()
+                        .flatten()
+                        .map(|iv| narrowed(var, VDom::W(iv)))
+                        .collect(),
+                )
+            }
+            PSplit::Diseq { cons } => {
+                let PCons::CmpReif { op, out, a, b } = self.lowered.cons[cons as usize] else {
+                    return None;
+                };
+                let asserted = match op {
+                    CmpOp::Ne => Tribool::True,
+                    CmpOp::Eq => Tribool::False,
+                    _ => return None,
+                };
+                if doms[out as usize] != VDom::B(asserted) {
+                    return None;
+                }
+                let side = |order| Side {
+                    doms: doms.to_vec(),
+                    seed: None,
+                    order: Some(order),
+                };
+                Some(vec![side((a, b)), side((b, a))])
+            }
+        }
+    }
+
     /// Replays a split tree: every branch must reach a conflict.
+    /// `orders` holds the strict orders of the disequality sides above
+    /// this node.
     #[allow(clippy::too_many_arguments)]
     fn refute(
         &self,
@@ -604,6 +718,7 @@ impl Ctx<'_> {
         seed_all_clauses: bool,
         splits: &[PSplit],
         depth: usize,
+        orders: &mut Vec<(u32, u32)>,
         nodes: &mut u64,
     ) -> Result<(), RefuteFail> {
         if *nodes == 0 {
@@ -618,39 +733,28 @@ impl Ctx<'_> {
         } else {
             Vec::new()
         };
-        if !self.fixpoint(&mut doms, scratch, seed_vars, 0..0, &seed_clauses) {
+        if !self.settle(&mut doms, scratch, seed_vars, &seed_clauses, orders, nodes)? {
             return Ok(());
         }
-        let Some(split) = splits.get(depth) else {
+        let Some(&split) = splits.get(depth) else {
             return Err(RefuteFail::NotImplied);
         };
-        match *split {
-            PSplit::Bool { var } => {
-                let cur = doms[var as usize].tri();
-                for value in [false, true] {
-                    if cur.to_bool().is_some_and(|c| c != value) {
-                        continue; // vacuous side
-                    }
-                    let mut side = doms.clone();
-                    side[var as usize] = VDom::B(Tribool::from(value));
-                    self.refute(side, scratch, &[var], false, splits, depth + 1, nodes)?;
-                }
+        for side in self.sides(&doms, split).ok_or(RefuteFail::NotImplied)? {
+            orders.extend(side.order);
+            let r = self.refute(
+                side.doms,
+                scratch,
+                side.seed.as_slice(),
+                false,
+                splits,
+                depth + 1,
+                orders,
+                nodes,
+            );
+            if side.order.is_some() {
+                orders.pop();
             }
-            PSplit::Word { var, at } => {
-                let cur = doms[var as usize].iv();
-                let mut sides = Vec::with_capacity(2);
-                if cur.lo() <= at {
-                    sides.push(Interval::new(cur.lo(), cur.hi().min(at)));
-                }
-                if cur.hi() > at {
-                    sides.push(Interval::new(cur.lo().max(at + 1), cur.hi()));
-                }
-                for iv in sides {
-                    let mut side = doms.clone();
-                    side[var as usize] = VDom::W(iv);
-                    self.refute(side, scratch, &[var], false, splits, depth + 1, nodes)?;
-                }
-            }
+            r?;
         }
         Ok(())
     }
@@ -659,7 +763,8 @@ impl Ctx<'_> {
     /// grows a shared split list until every branch conflicts, or gives
     /// up on budget / full-point assignments that still do not conflict
     /// (which cannot happen for sound lemmas — at a point assignment
-    /// every constraint kind is decided exactly by its contractor).
+    /// every constraint kind is decided exactly by its contractor). It
+    /// splits on variables only, so no strict order is ever active.
     #[allow(clippy::too_many_arguments)]
     fn grow(
         &self,
@@ -689,40 +794,30 @@ impl Ctx<'_> {
             };
             splits.push(split);
         }
-        match splits[depth] {
-            PSplit::Bool { var } => {
-                let cur = doms[var as usize].tri();
-                for value in [false, true] {
-                    if cur.to_bool().is_some_and(|c| c != value) {
-                        continue;
-                    }
-                    let mut side = doms.clone();
-                    side[var as usize] = VDom::B(Tribool::from(value));
-                    if !self.grow(side, scratch, &[var], false, splits, depth + 1, nodes) {
-                        return false;
-                    }
-                }
-            }
-            PSplit::Word { var, at } => {
-                let cur = doms[var as usize].iv();
-                let mut sides = Vec::with_capacity(2);
-                if cur.lo() <= at {
-                    sides.push(Interval::new(cur.lo(), cur.hi().min(at)));
-                }
-                if cur.hi() > at {
-                    sides.push(Interval::new(cur.lo().max(at + 1), cur.hi()));
-                }
-                for iv in sides {
-                    let mut side = doms.clone();
-                    side[var as usize] = VDom::W(iv);
-                    if !self.grow(side, scratch, &[var], false, splits, depth + 1, nodes) {
-                        return false;
-                    }
-                }
-            }
-        }
-        true
+        let sides = self
+            .sides(&doms, splits[depth])
+            .expect("variable splits always have sides");
+        sides.into_iter().all(|side| {
+            self.grow(
+                side.doms,
+                scratch,
+                side.seed.as_slice(),
+                false,
+                splits,
+                depth + 1,
+                nodes,
+            )
+        })
     }
+}
+
+/// One side of a case split: the domains it narrowed, the variable it
+/// narrowed (the side's fixpoint seed), and the strict order `a < b` a
+/// disequality side holds for its subtree.
+struct Side {
+    doms: Vec<VDom>,
+    seed: Option<u32>,
+    order: Option<(u32, u32)>,
 }
 
 enum RefuteFail {
@@ -957,6 +1052,18 @@ impl Checker {
             let (var, is_bool) = match *split {
                 PSplit::Bool { var } => (var, true),
                 PSplit::Word { var, .. } => (var, false),
+                PSplit::Diseq { cons } => {
+                    let m = self.lowered.cons.len() as u32;
+                    if cons >= m {
+                        return Err(CheckError::BadSplit {
+                            step: id,
+                            detail: format!(
+                                "split constraint {cons} out of range (constraints {m})"
+                            ),
+                        });
+                    }
+                    continue;
+                }
             };
             if var >= n {
                 return Err(CheckError::BadSplit {
@@ -1090,21 +1197,22 @@ impl Checker {
 
     /// The certifying admission. With `hints` — the ids of the lowered
     /// constraints the producer's derivation of the lemma used — it
-    /// first refutes the lemma's negation by one fixpoint restricted to
-    /// those contractors (and every admitted clause); out-of-range and
-    /// duplicate ids are ignored. When that closes, the step is
-    /// admitted unchanged. Otherwise, and without hints: [`Checker::admit`]
+    /// first refutes the lemma's negation by replaying the step's own
+    /// splits with only those contractors (and every admitted clause);
+    /// out-of-range and duplicate ids are ignored. When that closes,
+    /// the step is admitted unchanged. Otherwise, and without hints: [`Checker::admit`]
     /// with the step's own splits, and when that refutation does not
     /// close ([`CheckError::NotImplied`] or [`CheckError::Budget`]), the
     /// split finder followed by a second strict admission with the
     /// splits it found, which are written back into `step`.
     ///
     /// Neither hints nor the finder are trusted. The contractors are
-    /// monotone, so a restricted fixpoint that closes implies that the
-    /// unrestricted root fixpoint of [`Checker::admit`] closes too:
-    /// whatever the hints, a step certified here is a step a fresh
-    /// checker admits from the (possibly rewritten) text, and the text
-    /// is the same as without hints.
+    /// monotone, so a restricted replay that closes implies that the
+    /// unrestricted replay of [`Checker::admit`] closes too, node for
+    /// node and round for round: whatever the hints, a step certified
+    /// here is a step a fresh checker admits from the (possibly
+    /// rewritten) text, and the text is the same as without hints. The
+    /// splits replayed come from the text, never from the hints.
     ///
     /// # Errors
     ///
@@ -1133,7 +1241,7 @@ impl Checker {
             // Deletions precede the derivation, as in `refute_step`
             // (which re-applies them idempotently on a miss).
             self.apply_dels(step);
-            if self.refute_hinted(&step.lits, hints) {
+            if self.refute_hinted(step, hints) {
                 return Ok(());
             }
             self.hint_misses += 1;
@@ -1165,7 +1273,16 @@ impl Checker {
         };
         let mut nodes = REFUTE_BUDGET;
         let (ctx, _, scratch) = self.parts(false);
-        let r = ctx.refute(trial, scratch, &touched, true, &step.splits, 0, &mut nodes);
+        let r = ctx.refute(
+            trial,
+            scratch,
+            &touched,
+            true,
+            &step.splits,
+            0,
+            &mut Vec::new(),
+            &mut nodes,
+        );
         self.nodes_used += REFUTE_BUDGET - nodes;
         match r {
             Ok(()) => Ok(()),
@@ -1175,11 +1292,13 @@ impl Checker {
     }
 
     /// The hinted refutation of [`Checker::certify`]: asserts the
-    /// negation of `lits` on a copy of the base and propagates it
-    /// through the contractors `hints` names and every admitted clause.
-    /// `true` when that reaches a conflict (one search node).
-    fn refute_hinted(&mut self, lits: &[PLit], hints: &[u32]) -> bool {
-        let Some((mut trial, touched)) = self.negated_trial(lits) else {
+    /// negation of `step`'s literals on a copy of the base and replays
+    /// the step's recorded splits, propagating through the contractors
+    /// `hints` names and every admitted clause. `true` when every
+    /// branch reaches a conflict within the replay budget (one search
+    /// node when the step records no split).
+    fn refute_hinted(&mut self, step: &Step, hints: &[u32]) -> bool {
+        let Some((trial, touched)) = self.negated_trial(&step.lits) else {
             return true;
         };
         let ncons = self.lowered.cons.len();
@@ -1191,12 +1310,24 @@ impl Checker {
         // The base is a fixpoint of every contractor and clause, so only
         // the watchers of the negated variables can move: no clause
         // needs waking beyond those.
+        let mut nodes = REFUTE_BUDGET;
         let (ctx, _, scratch) = self.parts(true);
-        let closed = !ctx.fixpoint(&mut trial, scratch, &touched, 0..0, &[]);
+        let closed = ctx
+            .refute(
+                trial,
+                scratch,
+                &touched,
+                false,
+                &step.splits,
+                0,
+                &mut Vec::new(),
+                &mut nodes,
+            )
+            .is_ok();
         for h in in_range() {
             self.hint_mask[h] = false;
         }
-        self.nodes_used += 1;
+        self.nodes_used += REFUTE_BUDGET - nodes;
         closed
     }
 

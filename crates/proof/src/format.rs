@@ -25,7 +25,12 @@
 //!   `w7:3..9` — variable 7 ∈ ⟨3,9⟩; `-w7:3..9` — variable 7 ∉ ⟨3,9⟩.
 //!   Bounds may be negative.
 //! * Split tokens: `b12` — case split on Boolean variable 12;
-//!   `w7@5` — split variable 7 into `≤5` and `≥6`.
+//!   `w7@5` — split variable 7 into `≤5` and `≥6`; `n40` — split the
+//!   asserted disequality `a ≠ b` of lowered constraint 40 into `a < b`
+//!   and `a > b` (a Fourier–Motzkin lemma's case split; the checker
+//!   verifies that constraint 40 is an asserted disequality where the
+//!   split is replayed). The token needs no new version: a proof
+//!   without it prints exactly as before.
 //! * Step ids are implicit (line order, 0-based); `a` ids must cite
 //!   earlier steps. `#` starts a comment; blank lines are ignored.
 
@@ -107,6 +112,9 @@ pub fn print(proof: &Proof) -> String {
                     PSplit::Word { var, at } => {
                         let _ = write!(out, " w{var}@{at}");
                     }
+                    PSplit::Diseq { cons } => {
+                        let _ = write!(out, " n{cons}");
+                    }
                 }
             }
         }
@@ -187,6 +195,11 @@ impl LineParser<'_> {
         if let Some(var) = tok.strip_prefix('b') {
             return Ok(PSplit::Bool {
                 var: self.parse_u32(var, "Boolean variable")?,
+            });
+        }
+        if let Some(cons) = tok.strip_prefix('n') {
+            return Ok(PSplit::Diseq {
+                cons: self.parse_u32(cons, "constraint id")?,
             });
         }
         let Some(rest) = tok.strip_prefix('w') else {

@@ -103,6 +103,19 @@ pub enum PSplit {
         /// Split point: left branch keeps `(-∞, at]`, right `[at+1, ∞)`.
         at: i64,
     },
+    /// Branch an asserted disequality `a ≠ b` into `a < b`, then
+    /// `a > b`: the case split of a Fourier–Motzkin lemma. Its premise
+    /// is checked where the split is replayed: lowered constraint `cons`
+    /// must be a `≠` comparison whose output holds there, or an `=` one
+    /// whose output fails; otherwise the replay fails. Each side holds
+    /// its strict order for its whole subtree, re-applied whenever `a`
+    /// or `b` narrows, and every round that narrows counts against the
+    /// replay budget.
+    Diseq {
+        /// Lowered constraint id (constraints are numbered in node
+        /// order, the same in every segmentation of the netlist).
+        cons: u32,
+    },
 }
 
 /// One proof step: a lemma clause with optional splits and antecedent

@@ -613,3 +613,127 @@ fn checker_counts_its_contractor_steps() {
     // installed clause `¬a ∨ ¬b ∨ c` narrows nothing in the base.
     assert_eq!(checker.report().cons_steps, built + 1);
 }
+
+/// `x ≠ y ∧ x ≤ y ∧ y ≤ x` over `width`-bit words, the disequality
+/// written as `op` (`≠`, or `=` under a negation): Fourier–Motzkin
+/// refutes it by splitting the disequality; interval propagation alone
+/// cannot. Constraint 0 is the disequality's comparison, constraint 1
+/// is `x ≤ y`.
+fn diseq_box(width: u32, op: CmpOp) -> (Netlist, SignalId) {
+    let mut n = Netlist::new("diseq");
+    let x = n.input_word("x", width).unwrap();
+    let y = n.input_word("y", width).unwrap();
+    let cmp = n.cmp(op, x, y).unwrap();
+    let le1 = n.cmp(CmpOp::Le, x, y).unwrap();
+    let le2 = n.cmp(CmpOp::Le, y, x).unwrap();
+    let ne = match op {
+        CmpOp::Ne => cmp,
+        _ => n.not(cmp).unwrap(),
+    };
+    let goal = n.and(&[ne, le1, le2]).unwrap();
+    (n, goal)
+}
+
+/// The empty clause, closed by splitting constraint `cons`.
+fn diseq_step(cons: u32) -> Step {
+    Step {
+        splits: vec![PSplit::Diseq { cons }],
+        ..Step::default()
+    }
+}
+
+#[test]
+fn diseq_split_closes_what_propagation_cannot() {
+    for op in [CmpOp::Ne, CmpOp::Eq] {
+        let (n, goal) = diseq_box(4, op);
+        let mut checker = Checker::new(&n, goal).unwrap();
+        assert_eq!(
+            checker.admit(&Step::default()),
+            Err(CheckError::NotImplied { step: 0 }),
+            "{op:?}: ICP alone does not refute x ≠ y ∧ x = y"
+        );
+        assert_eq!(checker.admit(&diseq_step(0)), Ok(()), "{op:?}");
+        assert!(checker.derived_empty());
+    }
+    // Under hints naming the two orders alone, the recorded split
+    // replays without a miss and the text stays as recorded.
+    let (n, goal) = diseq_box(4, CmpOp::Ne);
+    let mut checker = Checker::new(&n, goal).unwrap();
+    let mut step = diseq_step(0);
+    assert_eq!(checker.certify(&mut step, Some(&[1, 2])), Ok(()));
+    assert_eq!(step, diseq_step(0));
+    assert_eq!(checker.report().hint_misses, 0);
+    // It round-trips through the text as `n0`.
+    let proof = Proof {
+        var_count: checker.var_count(),
+        goal: "g".into(),
+        assumptions: vec![],
+        gaps: 0,
+        steps: vec![diseq_step(0)],
+    };
+    let text = format::print(&proof);
+    assert!(text.starts_with("rtlproof 2\n"), "{text}");
+    assert!(text.ends_with("f ; s n0\n"), "{text}");
+    assert_eq!(format::parse(&text).unwrap(), proof);
+    assert!(format::parse(&text.replace("n0", "n")).is_err());
+}
+
+#[test]
+fn diseq_split_out_of_range_is_a_bad_split() {
+    let (n, goal) = diseq_box(4, CmpOp::Ne);
+    let mut checker = Checker::new(&n, goal).unwrap();
+    let err = checker.admit(&diseq_step(99)).unwrap_err();
+    assert!(matches!(err, CheckError::BadSplit { step: 0, .. }), "{err:?}");
+}
+
+#[test]
+fn diseq_split_needs_an_asserted_disequality() {
+    // Constraint 1 is `x ≤ y`, no disequality; constraint 3 is the AND.
+    let (n, goal) = diseq_box(4, CmpOp::Ne);
+    let mut checker = Checker::new(&n, goal).unwrap();
+    for cons in [1, 3] {
+        assert_eq!(
+            checker.admit(&diseq_step(cons)),
+            Err(CheckError::NotImplied { step: 0 }),
+            "constraint {cons}"
+        );
+    }
+    // Over the goal-free base `x ≠ y` is undecided: the lemma `¬goal`
+    // asserts it under its negation, so the split replays there, but
+    // the empty clause leaves it undecided and the split fails closed
+    // rather than assume it.
+    let mut free = Checker::new_free(&n);
+    assert_eq!(
+        free.admit(&Step {
+            lits: vec![lit_b(goal.index() as u32, false)],
+            splits: vec![PSplit::Diseq { cons: 0 }],
+            ..Step::default()
+        }),
+        Ok(()),
+        "the negation of ¬goal asserts the disequality"
+    );
+    let mut free = Checker::new_free(&n);
+    assert_eq!(
+        free.admit(&diseq_step(0)),
+        Err(CheckError::NotImplied { step: 0 }),
+        "the undecided disequality is not split"
+    );
+}
+
+#[test]
+fn diseq_split_over_wide_words_stops_on_the_budget() {
+    // Each order round narrows x and y by one: about 2^39 rounds per
+    // side at 40 bits, so the replay budget must stop it.
+    let (n, goal) = diseq_box(40, CmpOp::Ne);
+    let mut checker = Checker::new(&n, goal).unwrap();
+    let start = std::time::Instant::now();
+    assert_eq!(
+        checker.admit(&diseq_step(0)),
+        Err(CheckError::Budget { step: 0 })
+    );
+    assert!(
+        start.elapsed() < std::time::Duration::from_secs(30),
+        "bounded: {:?}",
+        start.elapsed()
+    );
+}

@@ -47,11 +47,7 @@ pub fn stats_json_record(
 ) -> String {
     let esc = obs::json::escape;
 
-    let verdict = match &result.verdict {
-        HdpllResult::Sat(_) => "SAT",
-        HdpllResult::Unsat => "UNSAT",
-        HdpllResult::Unknown => "UNKNOWN",
-    };
+    let verdict = result.verdict.label();
     // Certification mirrors the supervisor's trust ladder: SAT models
     // are always simulator-certified; UNSAT carries the proof /
     // cross-check / uncertified distinction; UNKNOWN certifies nothing.

@@ -519,7 +519,7 @@ fn process(
             catch_unwind(AssertUnwindSafe(|| sup.solve(&netlist, goal)))
         };
         if handle.on() {
-            handle.request_end(&req.id, solved.as_ref().map_or("panic", verdict_label));
+            handle.request_end(&req.id, solved.as_ref().map_or("panic", |r| r.verdict.label()));
         }
         // A died attempt (an escaped panic or a died result) shares one
         // retry branch.
@@ -597,14 +597,6 @@ fn solve_died(result: &SupervisedResult) -> bool {
                 .as_ref()
                 .is_some_and(|s| s.abort == Some(AbortReason::Memory))
     })
-}
-
-fn verdict_label(result: &SupervisedResult) -> &'static str {
-    match result.verdict {
-        HdpllResult::Sat(_) => "SAT",
-        HdpllResult::Unsat => "UNSAT",
-        HdpllResult::Unknown => "UNKNOWN",
-    }
 }
 
 fn write_record<W: Write>(out: &Mutex<W>, record: &str) {

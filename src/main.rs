@@ -648,11 +648,7 @@ fn profile_command(rest: &[String]) -> ExitCode {
     let handle = ObsHandle::armed(ObsConfig::profiled());
     sup = sup.with_obs(handle.clone());
     let result = sup.solve(&netlist, goal);
-    let verdict = match &result.verdict {
-        HdpllResult::Sat(_) => "SAT",
-        HdpllResult::Unsat => "UNSAT",
-        HdpllResult::Unknown => "UNKNOWN",
-    };
+    let verdict = result.verdict.label();
     match handle.profile_snapshot() {
         Some(snap) => out!("{}", snap.folded()),
         None => eprintln!("c profiler produced no samples"),

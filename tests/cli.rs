@@ -612,3 +612,55 @@ fn goal_list_warns_that_check_is_single_goal() {
         assert!(warnings[0].contains("--check"), "{flags:?}: {stderr}");
     }
 }
+
+/// The one-shot solve of b13 `p8` unrolled to 13–15 frames prunes to the
+/// property's cone and refutes it with one Fourier–Motzkin final check,
+/// whose lemma is only derivable through the disequality split FM made:
+/// the proof records that split, so the certifier admits the lemma and a
+/// fresh `check-proof` replays it.
+#[test]
+fn b13_p8_fm_lemma_proof_certifies() {
+    use rtl_itc99::cases::{BmcCase, Circuit, Expected};
+    let dir = std::env::temp_dir().join("rtlsat_cli_b13_p8");
+    std::fs::create_dir_all(&dir).unwrap();
+    for frames in [13, 14, 15] {
+        let case = BmcCase {
+            circuit: Circuit::B13,
+            property: "p8",
+            frames,
+            expected: Expected::Unsat,
+        };
+        let netlist = dir.join(format!("b13_p8_{frames}.rtl"));
+        std::fs::write(&netlist, rtl_ir::text::to_text(&case.build().netlist)).unwrap();
+        let proof = dir.join(format!("b13_p8_{frames}.proof"));
+        let out = bin()
+            .arg(&netlist)
+            .arg("bad_p8")
+            .args(["--proof", proof.to_str().unwrap(), "--stats"])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(20),
+            "{frames} frames: {stdout}{stderr}"
+        );
+        assert!(stdout.starts_with("UNSAT"), "{frames} frames: {stdout}");
+        assert!(
+            stderr.contains("proof checked"),
+            "{frames} frames: {stdout}{stderr}"
+        );
+        // The proof is stated over the pruned netlist its bundle holds.
+        let bundle = dir.join(format!("b13_p8_{frames}.proof.preproc"));
+        let out = bin()
+            .arg("check-proof")
+            .arg(&netlist)
+            .arg(&proof)
+            .args(["--preproc", bundle.to_str().unwrap()])
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.starts_with("VERIFIED"), "{frames} frames: {stdout}");
+    }
+}

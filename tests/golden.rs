@@ -225,16 +225,19 @@ fn itc99_cases_all_variants() {
 #[test]
 fn search_effort_within_regression_band() {
     // `tests/golden/EFFORT` pins the conflict count of every corpus
-    // case under the default structural config (deterministic search,
-    // so the numbers are exact at pin time). A solve may drift as
-    // heuristics evolve, but must stay within 3× + 25 of the pinned
-    // count — the tripwire for search-quality blow-ups that raw
-    // verdict tests cannot see. Regenerate the pins after a deliberate
-    // heuristic change with:
+    // case under the default structural config, and the summed
+    // conflicts of each benchmark b13 sweep under the default session
+    // rungs (deterministic search, so the numbers are exact at pin
+    // time). A solve may drift as heuristics evolve, but must stay
+    // within 3× + 25 of the pinned count — the tripwire for
+    // search-quality blow-ups that raw verdict tests cannot see, such
+    // as a session query enumerating logic outside its cone (b13 p8
+    // once took 263–268 conflicts at each of depths 12–14). Regenerate
+    // the pins after a deliberate heuristic change with:
     //
     //     RTLSAT_BLESS_EFFORT=1 cargo test --test golden search_effort
     let path = corpus_dir().join("EFFORT");
-    let measured: Vec<(String, u64)> = corpus()
+    let mut measured: Vec<(String, u64)> = corpus()
         .iter()
         .map(|case| {
             let mut solver = Solver::new(&case.netlist, SolverConfig::structural());
@@ -243,9 +246,17 @@ fn search_effort_within_regression_band() {
             (case.file.clone(), solver.stats().engine.conflicts)
         })
         .collect();
+    let rungs = session_rungs(&SolveOptions::default()).expect("default rungs");
+    measured.extend(B13_SWEEPS.into_iter().map(|(prop, depths)| {
+        let (ladder, _) = b13_sweep(prop, depths, rungs.clone());
+        assert_eq!(ladder.degradations(), 0, "b13 {prop}: one session answers the sweep");
+        let conflicts = ladder.stats().expect("live session").engine.conflicts;
+        (format!("b13_{prop}_sweep"), conflicts)
+    }));
     if std::env::var_os("RTLSAT_BLESS_EFFORT").is_some() {
         let mut text = String::from(
-            "# <file> <conflicts> — structural-config conflict counts, pinned.\n\
+            "# <file> <conflicts> — structural-config conflict counts, pinned;\n\
+             # b13_<property>_sweep rows sum a benchmark b13 session sweep.\n\
              # Regenerate: RTLSAT_BLESS_EFFORT=1 cargo test --test golden search_effort\n",
         );
         for (file, conflicts) in &measured {

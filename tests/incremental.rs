@@ -35,7 +35,7 @@ use rtlsat::itc99::cases::{BmcCase, Circuit, Expected};
 use rtlsat::proof::Checker;
 
 mod common;
-use common::{random_netlist, Rng};
+use common::{random_circuit, random_netlist, Rng};
 
 fn variants() -> Vec<(&'static str, SolverConfig)> {
     vec![
@@ -214,6 +214,70 @@ proptest! {
             let tag = format!("seed {seed}: {label} final");
             assert_certified(session.netlist(), session.proof_netlist(), &asm, &certified, expected, &tag);
             prop_assert_eq!(session.queries(), 4, "one solve per round + final");
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// BMC sweeps over random sequential circuits: at every depth the
+    /// session query, decided inside its assumption's cone, gives the
+    /// fresh one-shot verdict over the whole unrolled netlist, and
+    /// every Unsat proof passes a fresh checker.
+    #[test]
+    fn cone_scoped_sweeps_match_fresh_solves(
+        ops in proptest::collection::vec((any::<u8>(), any::<usize>(), any::<usize>(), any::<usize>()), 4..30),
+        picks in proptest::collection::vec(any::<usize>(), 5..7),
+        inits in proptest::collection::vec(0i64..16, 4),
+    ) {
+        let ckt = random_circuit(&ops, &picks, &inits);
+        for (label, config) in variants() {
+            for (prop, _) in ckt.properties() {
+                let mut unroller = ckt.unroller();
+                let mut base = unroller.base_netlist();
+                unroller.push_frame(&mut base).unwrap();
+                let mut session = Session::new(&base, config.with_proof(true));
+                for depth in 0..5 {
+                    if depth > 0 {
+                        session.extend(|n| unroller.push_frame(n).unwrap());
+                    }
+                    let asm = [Assumption::yes(unroller.bad(&prop, depth).unwrap())];
+                    let expected = fresh_verdict(session.netlist(), &asm, config);
+                    let certified = session.solve(&asm);
+                    let tag = format!("{label} {prop}@{depth}");
+                    assert_certified(session.netlist(), session.proof_netlist(), &asm, &certified, expected, &tag);
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn b13_p40_sweep_answers_unsat_then_sat() {
+    // p40 first holds at depth 12. The Sat answers leave every input
+    // outside the query's cone at its low bound, and the simulator
+    // replay still verifies them.
+    let config = SolverConfig::structural_with_learning(LearnConfig::default()).with_proof(true);
+    let circuit = rtlsat::itc99::b13();
+    let mut unroller = circuit.unroller();
+    let mut base = unroller.base_netlist();
+    unroller.push_frame(&mut base).unwrap();
+    let mut session = Session::new(&base, config);
+    for depth in 0..15 {
+        if depth > 0 {
+            session.extend(|n| unroller.push_frame(n).unwrap());
+        }
+        let c = session.solve(&[Assumption::yes(unroller.bad("p40", depth).unwrap())]);
+        if depth < 12 {
+            assert_eq!(c.result, HdpllResult::Unsat, "depth {depth}");
+            assert_eq!(c.cert, SessionCert::ProofChecked, "depth {depth}");
+            let proof = c.proof.as_ref().unwrap();
+            Checker::check_assumptions(session.proof_netlist(), &proof.assumptions, proof)
+                .unwrap_or_else(|e| panic!("depth {depth}: {e}"));
+        } else {
+            assert!(c.result.is_sat(), "depth {depth}: {:?}", c.result);
+            assert_eq!(c.cert, SessionCert::ModelVerified, "depth {depth}");
         }
     }
 }

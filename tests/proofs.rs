@@ -19,7 +19,7 @@ use rtlsat::hdpll::{
 use rtlsat::ir::simplify::{
     bundle_parse, bundle_to_text, bundle_to_text_full, bundle_validate, simplify, simplify_full,
 };
-use rtlsat::ir::{Netlist, SignalId};
+use rtlsat::ir::{CmpOp, Netlist, SignalId};
 use rtlsat::proof::{format, CheckError, Checker, Proof, Step};
 
 mod common;
@@ -361,9 +361,29 @@ struct Corpus {
     sibling: (Netlist, SignalId),
     parity_text: String,
     /// Larger texts, with their goal when they are goal proofs: a
-    /// many-step mux proof with antecedents and deletions, and a session
-    /// assumption proof (format v3).
+    /// many-step mux proof with antecedents and deletions, a session
+    /// assumption proof (format v3), and a proof whose Fourier–Motzkin
+    /// lemma records its disequality split (`s n0`).
     others: Vec<(Netlist, Option<SignalId>, String)>,
+}
+
+/// `x ≤ y ∧ y ≤ x ∧ (x ≠ y ∨ x < y) ∧ (x ≠ y ∨ x > y)` over 4-bit
+/// words: the structural search decides `x ≠ y` and the final check
+/// refutes that box by splitting the disequality (constraint 0), a
+/// lemma learned above level 0.
+fn diseq_instance() -> (Netlist, SignalId) {
+    let mut n = Netlist::new("diseq");
+    let x = n.input_word("x", 4).unwrap();
+    let y = n.input_word("y", 4).unwrap();
+    let ne = n.cmp(CmpOp::Ne, x, y).unwrap();
+    let lt = n.cmp(CmpOp::Lt, x, y).unwrap();
+    let gt = n.cmp(CmpOp::Gt, x, y).unwrap();
+    let le1 = n.cmp(CmpOp::Le, x, y).unwrap();
+    let le2 = n.cmp(CmpOp::Le, y, x).unwrap();
+    let e1 = n.or(&[ne, lt]).unwrap();
+    let e2 = n.or(&[ne, gt]).unwrap();
+    let goal = n.and(&[le1, le2, e1, e2]).unwrap();
+    (n, goal)
 }
 
 fn corpus() -> &'static Corpus {
@@ -388,11 +408,18 @@ fn corpus() -> &'static Corpus {
         );
         let answer = session.solve(&[Assumption::yes(parity.1)]);
         let session_proof = answer.proof.expect("Unsat with logging has a proof");
+        let diseq = diseq_instance();
+        let diseq_proof = solve_logged(&diseq.0, diseq.1, SolverConfig::structural())
+            .expect("the diseq instance is Unsat");
+        let diseq_text = format::print(&diseq_proof);
+        assert!(diseq_text.contains("; s n0"), "{diseq_text}");
+        assert!(Checker::check_goal(&diseq.0, diseq.1, &diseq_proof).is_ok());
         Corpus {
             parity_text: format::print(&proof),
             others: vec![
                 (mux.netlist, Some(mux.goal), format::print(&mux_proof)),
                 (parity.0.clone(), None, format::print(&session_proof)),
+                (diseq.0, Some(diseq.1), diseq_text),
             ],
             parity,
             sibling,

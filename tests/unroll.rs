@@ -13,8 +13,11 @@ use std::collections::HashMap;
 use proptest::prelude::*;
 
 use rtlsat::ir::seq::SeqCircuit;
-use rtlsat::ir::{CmpOp, Netlist, SignalId, SignalType};
+use rtlsat::ir::{Netlist, SignalId, SignalType};
 use rtlsat::itc99::cases::Circuit;
+
+mod common;
+use common::random_circuit;
 
 type FrameMap = HashMap<SignalId, SignalId>;
 
@@ -179,60 +182,6 @@ fn itc99_unrollings_match_the_per_frame_import() {
         check_unroller(&ckt, frames);
         check_unroll(&ckt, frames);
     }
-}
-
-/// A random sequential circuit: three 4-bit and one Boolean register,
-/// a free word and a free Boolean input, one word constant, random
-/// operators over all of them, and next-state functions and properties
-/// picked among every signal of the right type (inputs and constants
-/// included, so a next state or a bad signal may be a register state, a
-/// free input or a constant).
-fn random_circuit(ops: &[(u8, usize, usize, usize)], picks: &[usize], inits: &[i64]) -> SeqCircuit {
-    let mut f = Netlist::new("rand");
-    let mut words: Vec<SignalId> = Vec::new();
-    let mut bools: Vec<SignalId> = Vec::new();
-    let mut states = Vec::new();
-    for k in 0..3 {
-        let s = f.input_word(&format!("r{k}"), 4).unwrap();
-        states.push(s);
-        words.push(s);
-    }
-    let rb = f.input_bool("rb").unwrap();
-    bools.push(rb);
-    words.push(f.input_word("x", 4).unwrap());
-    bools.push(f.input_bool("y").unwrap());
-    words.push(f.const_word(5, 4).unwrap());
-    for &(kind, a, b, c) in ops {
-        let w = |i: usize| words[i % words.len()];
-        let bl = |i: usize| bools[i % bools.len()];
-        match kind % 10 {
-            0 => words.push(f.add(w(a), w(b)).unwrap()),
-            1 => words.push(f.sub(w(a), w(b)).unwrap()),
-            2 => words.push(f.mul_const(w(a), (c % 7) as i64).unwrap()),
-            3 => words.push(f.ite(bl(c), w(a), w(b)).unwrap()),
-            4 => words.push(f.shr(w(a), (c % 3) as u32).unwrap()),
-            5 => bools.push(
-                f.cmp([CmpOp::Eq, CmpOp::Lt, CmpOp::Ge][c % 3], w(a), w(b))
-                    .unwrap(),
-            ),
-            6 => bools.push(f.and(&[bl(a), bl(b), bl(c)]).unwrap()),
-            7 => bools.push(f.or(&[bl(a), bl(b)]).unwrap()),
-            8 => bools.push(f.xor(bl(a), bl(b)).unwrap()),
-            _ => bools.push(f.not(bl(a)).unwrap()),
-        }
-    }
-    let mut ckt = SeqCircuit::new(f);
-    for (k, &s) in states.iter().enumerate() {
-        let next = words[picks[k] % words.len()];
-        ckt.add_register(s, next, inits[k] % 16).unwrap();
-    }
-    ckt.add_register(rb, bools[picks[3] % bools.len()], inits[3] % 2)
-        .unwrap();
-    for (p, &pick) in picks[4..].iter().enumerate() {
-        ckt.add_property(&format!("p{p}"), bools[pick % bools.len()])
-            .unwrap();
-    }
-    ckt
 }
 
 proptest! {
