@@ -151,35 +151,39 @@ pub fn parse_record(text: &str) -> Result<RunRecord, String> {
     })
 }
 
-/// Loads every stats-json record under `dir` (non-recursive scan of
-/// `*.json` files; files that are not stats-json records are skipped).
-/// Records come back sorted by case name, then goal — the report is
-/// deterministic regardless of directory iteration order.
+/// Loads every stats-json record under `dir`: a non-recursive scan of
+/// `*.json` and `*.jsonl` files, read line by line, keeping each line
+/// that carries `"stats_format"`. That is the one record of a
+/// `--stats-json` file and the `result` records of a served stream,
+/// whose `error`, `metrics` and `summary` lines are skipped, as is other
+/// JSON (e.g. `BENCH_hotpath.json`). Records come back sorted by case
+/// name, then goal — the report is deterministic regardless of
+/// directory iteration order.
 ///
 /// # Errors
 ///
 /// Returns `Err` when the directory cannot be read or a recognized
-/// stats-json file is malformed.
+/// stats-json line is malformed.
 pub fn load_dir(dir: &Path) -> Result<Vec<RunRecord>, String> {
     let entries = std::fs::read_dir(dir).map_err(|e| format!("{}: {e}", dir.display()))?;
     let mut records = Vec::new();
     let mut paths: Vec<_> = entries
         .filter_map(Result::ok)
         .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .filter(|p| p.extension().is_some_and(|x| x == "json" || x == "jsonl"))
         .collect();
     paths.sort();
     for path in paths {
         let text =
             std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        // Only files that self-identify as stats-json records; other
-        // JSON (e.g. BENCH_hotpath.json) is not an error, just skipped.
-        if !text.contains("\"stats_format\"") {
-            continue;
+        for (i, line) in text.lines().enumerate() {
+            if !line.contains("\"stats_format\"") {
+                continue;
+            }
+            let rec =
+                parse_record(line).map_err(|e| format!("{}:{}: {e}", path.display(), i + 1))?;
+            records.push(rec);
         }
-        let rec =
-            parse_record(&text).map_err(|e| format!("{}: {e}", path.display()))?;
-        records.push(rec);
     }
     records.sort_by(|a, b| a.case.cmp(&b.case).then_with(|| a.goal.cmp(&b.goal)));
     Ok(records)

@@ -58,6 +58,14 @@ pub use record::{error_record, overloaded_record, stats_json_record, summary_rec
 pub use request::{parse_line, NetlistSource, RequestLine, SolveRequest};
 pub use server::{serve, serve_unix, ServeConfig, ServeSummary};
 
+/// Locks `m` even if a thread panicked while holding it. A worker panic
+/// between lock and unlock cannot happen (solves are wrapped in
+/// `catch_unwind`), but stay robust anyway: a poisoned record stream or
+/// metrics aggregate is still better than a dead server.
+fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 /// The serve response envelope format version (`"serve_format"` field).
 ///
 /// v2 (this release): `overloaded` records carry `queue_depth` and

@@ -1,6 +1,7 @@
-//! Live serve metrics: rolling latency histograms, per-verdict and
-//! per-error counters, queue/in-flight gauges, per-worker busy time —
-//! plus the two ways they leave the process:
+//! Live serve metrics: the serve counts (the one store the `summary`
+//! record reads too), rolling latency histograms, queue/in-flight
+//! gauges, per-worker busy time — plus the two ways they leave the
+//! process:
 //!
 //! * periodic `metrics` JSONL records interleaved into the response
 //!   stream (opt-in via `--metrics-every`), each carrying both the
@@ -16,10 +17,11 @@
 //! newest N slow requests are always on disk, old captures are
 //! overwritten in place.
 //!
-//! Everything here is wall-clock territory by design. None of it is
-//! ever emitted unless explicitly requested (`--metrics-every`,
-//! `--slow-ms`, or a `status` probe), which is what keeps the default
-//! serve output byte-identical across runs.
+//! Apart from the counts, which the loop feeds with what it knew when it
+//! wrote each record, everything here is wall-clock territory by design.
+//! None of it is ever emitted unless explicitly requested
+//! (`--metrics-every`, `--slow-ms`, or a `status` probe), which is what
+//! keeps the default serve output byte-identical across runs.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -28,14 +30,16 @@ use std::time::{Duration, Instant};
 
 use rtl_obs::{json, Prom, RollingHist};
 
-use crate::SERVE_FORMAT;
+use crate::{lock, SERVE_FORMAT};
 
 /// How many rotating windows back the "rolling" latency quantiles look.
 /// With one rotation per `metrics` record, the rolling view covers the
 /// last `ROLLING_WINDOWS` reporting periods.
 const ROLLING_WINDOWS: usize = 8;
 
-/// Cumulative and windowed request counters (one copy each).
+/// The serve counts. [`ServeMetrics`] holds the one cumulative copy;
+/// `metrics` records, the Prometheus exposition and the `summary`
+/// record (the counts gained over one stream) are all read from it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct Counts {
     /// Solve requests accepted off the wire.
@@ -63,7 +67,8 @@ pub struct Counts {
 }
 
 impl Counts {
-    fn minus(&self, base: &Counts) -> Counts {
+    /// The counts gained since `base`, an earlier reading of this store.
+    pub(crate) fn minus(&self, base: &Counts) -> Counts {
         Counts {
             requests: self.requests - base.requests,
             results: self.results - base.results,
@@ -84,6 +89,21 @@ impl Counts {
     fn handled(&self) -> u64 {
         self.results + self.errors + self.overloaded
     }
+}
+
+/// What the serve loop knows about one record it writes: the facts
+/// [`ServeMetrics::observe`] counts.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub struct Answer<'a> {
+    /// The verdict label of a `result` record (`SAT`, `UNSAT`,
+    /// `UNKNOWN`); `None` for an `error` record.
+    pub verdict: Option<&'a str>,
+    /// Solve attempts the request took; each one past the first was a
+    /// retry with degradation.
+    pub attempts: u32,
+    /// The session-cache lookup of the attempt that answered: `Some(true)`
+    /// a hit, `Some(false)` a miss, `None` off the cached-session path.
+    pub cache_hit: Option<bool>,
 }
 
 struct Inner {
@@ -111,10 +131,6 @@ impl Default for ServeMetrics {
     fn default() -> Self {
         ServeMetrics::new()
     }
-}
-
-fn lock(m: &Mutex<Inner>) -> std::sync::MutexGuard<'_, Inner> {
-    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
 impl ServeMetrics {
@@ -192,34 +208,11 @@ impl ServeMetrics {
         lock(&self.inner).counts.slow_captures += 1;
     }
 
-    /// Folds one answered request into the aggregate, classifying the
-    /// record line the serve loop just produced (every record is JSON
-    /// this process built — a parse failure is counted as an error
-    /// record rather than dropped). `worker` attributes busy time.
-    pub fn observe_record(&self, worker: usize, record: &str, elapsed: Duration) {
-        let parsed = json::parse(record.trim_end()).ok();
-        let field = |key: &str| {
-            parsed
-                .as_ref()
-                .and_then(|v| v.get(key).and_then(json::Value::as_str).map(str::to_string))
-        };
-        let kind = field("type").unwrap_or_else(|| "error".to_string());
-        let verdict = field("verdict");
-        let attempts = parsed
-            .as_ref()
-            .and_then(|v| v.get("attempts").and_then(json::Value::as_u64))
-            .unwrap_or(1);
-        let counter = |name: &str| {
-            parsed
-                .as_ref()
-                .and_then(|v| v.get("counters"))
-                .and_then(|c| c.get(name))
-                .and_then(json::Value::as_u64)
-                .unwrap_or(0)
-        };
-        let cache_hits = counter("compile_cache_hit");
-        let cache_misses = counter("compile_cache_miss");
-
+    /// Folds one answered line into the aggregate from what the serve
+    /// loop knew when it wrote the record: its latency, `worker`'s busy
+    /// time, the verdict (or the error), the retries and the
+    /// session-cache lookup. No record is read back.
+    pub fn observe(&self, worker: usize, answer: &Answer<'_>, elapsed: Duration) {
         let elapsed_us = u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX);
         let mut inner = lock(&self.inner);
         if worker >= inner.busy_ns.len() {
@@ -228,24 +221,50 @@ impl ServeMetrics {
         inner.busy_ns[worker] = inner.busy_ns[worker]
             .saturating_add(u64::try_from(elapsed.as_nanos()).unwrap_or(u64::MAX));
         inner.latency.record_us(elapsed_us);
-        if kind == "result" {
-            inner.counts.results += 1;
-            match verdict.as_deref() {
-                Some("SAT") => inner.counts.sat += 1,
-                Some("UNSAT") => inner.counts.unsat += 1,
-                _ => inner.counts.unknown += 1,
+        let c = &mut inner.counts;
+        match answer.verdict {
+            Some(verdict) => {
+                c.results += 1;
+                match verdict {
+                    "SAT" => c.sat += 1,
+                    "UNSAT" => c.unsat += 1,
+                    _ => c.unknown += 1,
+                }
             }
-        } else {
-            inner.counts.errors += 1;
+            None => c.errors += 1,
         }
-        if attempts > 1 {
-            inner.counts.retries += attempts - 1;
-        }
-        inner.counts.cache_hits += cache_hits;
-        inner.counts.cache_misses += cache_misses;
+        c.retries += u64::from(answer.attempts.saturating_sub(1));
+        c.cache_hits += u64::from(answer.cache_hit == Some(true));
+        c.cache_misses += u64::from(answer.cache_hit == Some(false));
     }
 
-    /// Cumulative counters so far (tests and the summary cross-check).
+    /// [`ServeMetrics::observe`] for a record line known only as text:
+    /// classifies the line (a line that does not parse counts as an
+    /// error record), then observes it. The serve loop never calls this;
+    /// it is for callers replaying written records.
+    pub fn observe_record(&self, worker: usize, record: &str, elapsed: Duration) {
+        let parsed = json::parse(record.trim_end()).ok();
+        let field = |key: &str| parsed.as_ref().and_then(|v| v.get(key));
+        let counter = |name: &str| {
+            field("counters")
+                .and_then(|c| c.get(name))
+                .and_then(json::Value::as_u64)
+                .unwrap_or(0)
+        };
+        let result = field("type").and_then(json::Value::as_str) == Some("result");
+        let (hits, misses) = (counter("compile_cache_hit"), counter("compile_cache_miss"));
+        let answer = Answer {
+            verdict: result.then(|| field("verdict").and_then(json::Value::as_str).unwrap_or("")),
+            attempts: field("attempts")
+                .and_then(json::Value::as_u64)
+                .map_or(1, |a| u32::try_from(a).unwrap_or(u32::MAX)),
+            cache_hit: (hits + misses > 0).then_some(hits > 0),
+        };
+        self.observe(worker, &answer, elapsed);
+    }
+
+    /// Cumulative counts so far; a stream's summary is the difference of
+    /// its closing and opening readings.
     #[must_use]
     pub fn counts(&self) -> Counts {
         lock(&self.inner).counts

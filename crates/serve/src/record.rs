@@ -13,6 +13,7 @@ use std::fmt::Write as _;
 use rtl_hdpll::{Certification, HdpllResult, SupervisedResult};
 use rtl_obs::{self as obs, ObsHandle};
 
+use crate::metrics::Counts;
 use crate::SERVE_FORMAT;
 
 /// Identity of one solve, echoed into its stats-json record.
@@ -230,30 +231,15 @@ pub fn overloaded_record(id: &str, seq: u64, queue_depth: u64, in_flight: u64) -
     )
 }
 
-/// Counts for the final `summary` record, also returned from
-/// [`crate::serve`] for the caller.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Tally {
-    /// Input lines that parsed as solve requests.
-    pub requests: u64,
-    /// `result` records written.
-    pub results: u64,
-    /// `error` records written.
-    pub errors: u64,
-    /// `overloaded` records written.
-    pub overloaded: u64,
-    /// Solves that took the retry-with-degradation path.
-    pub retries: u64,
-}
-
 /// The final `summary` record, written exactly once per served stream
-/// after the drain completes. `drained` is `false` when the drain
-/// deadline expired and in-flight solves were cancelled.
+/// after the drain completes: the five stream counts of `counts`.
+/// `drained` is `false` when the drain deadline expired and in-flight
+/// solves were cancelled.
 #[must_use]
-pub fn summary_record(tally: &Tally, drained: bool) -> String {
+pub fn summary_record(counts: &Counts, drained: bool) -> String {
     format!(
         "{{\"serve_format\":{SERVE_FORMAT},\"type\":\"summary\",\"requests\":{},\"results\":{},\"errors\":{},\"overloaded\":{},\"retries\":{},\"drained\":{drained}}}\n",
-        tally.requests, tally.results, tally.errors, tally.overloaded, tally.retries
+        counts.requests, counts.results, counts.errors, counts.overloaded, counts.retries
     )
 }
 
@@ -269,12 +255,13 @@ mod tests {
             error_record(None, 0, "malformed"),
             overloaded_record("r2", 4, 8, 2),
             summary_record(
-                &Tally {
+                &Counts {
                     requests: 5,
                     results: 3,
                     errors: 1,
                     overloaded: 1,
                     retries: 2,
+                    ..Counts::default()
                 },
                 true,
             ),

@@ -2,13 +2,15 @@
 //! isolation and retry, graceful drain.
 //!
 //! Concurrency model: the calling thread reads and parses the input
-//! stream; parsed jobs go through a bounded [`mpsc::sync_channel`]
-//! (`try_send` — a full queue answers `overloaded` instead of
-//! blocking); `workers` threads pull jobs and solve them; every record
-//! is written as one atomic line under an output mutex. With
-//! `workers <= 1` no threads are spawned at all and requests are
-//! processed inline in input order — the deterministic mode the
-//! byte-stability tests pin.
+//! stream in one reader loop; parsed jobs go through a bounded
+//! [`mpsc::sync_channel`] (`try_send` — a full queue answers
+//! `overloaded` instead of blocking); `workers` threads pull jobs and
+//! solve them; every record is written as one atomic line under an
+//! output mutex. With `workers <= 1` no threads are spawned at all and
+//! the reader answers each job on the spot, in input order — the
+//! deterministic mode the byte-stability tests pin. Workers and the
+//! inline path share one answer step, which counts each record in
+//! [`ServeMetrics`] where it is written.
 //!
 //! The solver stack is single-thread by construction (`Rc` in the
 //! engine and telemetry), so nothing solver-shaped ever crosses a
@@ -18,9 +20,8 @@
 use std::io::{self, BufRead, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{self, RecvTimeoutError, TrySendError};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use rtl_hdpll::{
@@ -31,10 +32,10 @@ use rtl_hdpll::{
 use rtl_ir::{Netlist, SignalId};
 use rtl_obs::{ObsConfig, ObsHandle};
 
-use crate::metrics::{ServeMetrics, SlowRing};
-use crate::record::{self, SolveMeta, Tally};
+use crate::metrics::{Answer, Counts, ServeMetrics, SlowRing};
+use crate::record::{self, SolveMeta};
 use crate::request::{parse_line, NetlistSource, RequestLine, SolveRequest};
-use crate::{build_supervisor, degraded_engine, session_rungs, SolveOptions};
+use crate::{build_supervisor, degraded_engine, lock, session_rungs, SolveOptions};
 
 /// Server-level configuration (per-request fields can override some of
 /// these — see [`SolveRequest`]).
@@ -258,8 +259,10 @@ fn session_result(
 /// `summary` record is written.
 #[derive(Clone, Copy, Debug)]
 pub struct ServeSummary {
-    /// Per-record-type counts (mirrors the `summary` record).
-    pub tally: Tally,
+    /// The counts [`ServeMetrics`] gained over the stream; the `summary`
+    /// record prints its `requests`, `results`, `errors`, `overloaded`
+    /// and `retries`.
+    pub tally: Counts,
     /// `false` when the drain deadline expired and in-flight solves
     /// were cancelled.
     pub drained: bool,
@@ -288,22 +291,6 @@ impl Job {
             .map(|t| Instant::now() + t);
         Job { seq, req, deadline }
     }
-}
-
-/// Worker-side counters, folded into the reader's [`Tally`] after the
-/// pool drains.
-#[derive(Default)]
-struct WorkerCounts {
-    results: AtomicU64,
-    errors: AtomicU64,
-    retries: AtomicU64,
-}
-
-fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    // A worker panic between lock and unlock cannot happen (solves are
-    // wrapped in catch_unwind), but stay robust anyway: a poisoned
-    // record stream is still better than a dead server.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Reads one line (without the trailing newline), capped at `max`
@@ -360,6 +347,7 @@ type Rungs = Vec<(String, SolverConfig)>;
 /// budget and telemetry sink on it, and run the goal as a single
 /// assumption query. A panic that escapes the ladder's own isolation
 /// evicts the entry — a session in an unknown state is never reused.
+/// Returns whether the lookup hit, with the query's outcome.
 fn solve_on_session(
     cache: &mut SessionCache,
     opts: &SolveOptions,
@@ -367,7 +355,7 @@ fn solve_on_session(
     (netlist, goal, source_text): (&Netlist, SignalId, &str),
     handle: &ObsHandle,
     drain: &CancelToken,
-) -> std::thread::Result<SupervisedResult> {
+) -> (bool, std::thread::Result<SupervisedResult>) {
     // With preprocessing on, the session solves the simplified netlist
     // and the cache is keyed on its text: requests that differ only in
     // dead or foldable logic collapse onto one compiled session. The
@@ -417,28 +405,28 @@ fn solve_on_session(
     if outcome.is_err() {
         cache.remove(key);
     }
-    outcome
+    (hit, outcome)
 }
 
 /// Runs one solve request end to end: netlist resolution, the
 /// supervised solve under `catch_unwind` (or a cached-session query
 /// when the compile cache is on), and at most one
-/// retry-with-degradation. Always returns exactly one record.
+/// retry-with-degradation. Always returns exactly one record, with the
+/// facts the counts need.
 fn process(
     job: &Job,
     config: &ServeConfig,
     drain: &CancelToken,
-    counts: &WorkerCounts,
     cache: &mut SessionCache,
     slow: Option<&SlowRing>,
     metrics: &ServeMetrics,
-) -> String {
+) -> (String, Answer<'static>) {
     let started = Instant::now();
     let req = &job.req;
     let seq = job.seq;
-    let fail = |detail: &str| {
-        counts.errors.fetch_add(1, Ordering::Relaxed);
-        record::error_record(Some(&req.id), seq, detail)
+    let fail = |attempts: u32, detail: &str| {
+        let line = record::error_record(Some(&req.id), seq, detail);
+        (line, Answer { attempts, ..Answer::default() })
     };
 
     // Resolve the netlist and goal. Failures here are request errors,
@@ -447,7 +435,7 @@ fn process(
         NetlistSource::File(path) => {
             let text = match std::fs::read_to_string(path) {
                 Ok(t) => t,
-                Err(e) => return fail(&format!("cannot read `{path}`: {e}")),
+                Err(e) => return fail(0, &format!("cannot read `{path}`: {e}")),
             };
             let case = Path::new(path)
                 .file_stem()
@@ -460,13 +448,13 @@ fn process(
     };
     let netlist = match rtl_ir::text::parse(&source_text) {
         Ok(n) => n,
-        Err(e) => return fail(&format!("netlist parse error: {e}")),
+        Err(e) => return fail(0, &format!("netlist parse error: {e}")),
     };
     let Some(goal) = rtl_proof::resolve_goal(&netlist, &req.goal) else {
-        return fail(&format!("no signal named `{}`", req.goal));
+        return fail(0, &format!("no signal named `{}`", req.goal));
     };
     if !netlist.ty(goal).is_bool() {
-        return fail(&format!("goal `{}` is not a Boolean signal", req.goal));
+        return fail(0, &format!("goal `{}` is not a Boolean signal", req.goal));
     }
 
     let deadline = job.deadline;
@@ -504,19 +492,21 @@ fn process(
         // compile/certify paths so a poisoned request can never take
         // the server down. The shared drain token makes every queued
         // and in-flight solve answer promptly once cancelled.
-        let solved = if let Some(rungs) = session_ladder(config, &opts) {
+        let (cache_hit, solved) = if let Some(rungs) = session_ladder(config, &opts) {
             let problem = (&netlist, goal, source_text.as_str());
-            solve_on_session(cache, &opts, rungs, problem, &handle, drain)
+            let (hit, solved) = solve_on_session(cache, &opts, rungs, problem, &handle, drain);
+            (Some(hit), solved)
         } else {
             let mut sup = match build_supervisor(&opts, &netlist) {
                 Ok(s) => s,
-                Err(msg) => return fail(&msg),
+                Err(msg) => return fail(attempt, &msg),
             };
             if handle.on() {
                 sup = sup.with_obs(handle.clone());
             }
             sup = sup.with_cancel(drain.clone());
-            catch_unwind(AssertUnwindSafe(|| sup.solve(&netlist, goal)))
+            let solved = catch_unwind(AssertUnwindSafe(|| sup.solve(&netlist, goal)));
+            (None, solved)
         };
         if handle.on() {
             handle.request_end(&req.id, solved.as_ref().map_or("panic", |r| r.verdict.label()));
@@ -525,7 +515,6 @@ fn process(
         // retry branch.
         let died = solved.as_ref().map_or(true, solve_died);
         if let Some(next) = retry_engine(&engine, attempt, died, deadline, drain) {
-            counts.retries.fetch_add(1, Ordering::Relaxed);
             engine = next.to_string();
             fault = FaultPlan::default();
             continue;
@@ -534,10 +523,10 @@ fn process(
             Ok(result) => result,
             Err(panic) => {
                 let detail = panic_message(panic);
-                return fail(&format!("solve panicked (attempt {attempt}): {detail}"));
+                let detail = format!("solve panicked (attempt {attempt}): {detail}");
+                return fail(attempt, &detail);
             }
         };
-        counts.results.fetch_add(1, Ordering::Relaxed);
         let meta = SolveMeta {
             case,
             file,
@@ -558,7 +547,12 @@ fn process(
                 }
             }
         }
-        return line;
+        let answer = Answer {
+            verdict: Some(result.verdict.label()),
+            attempts: attempt,
+            cache_hit,
+        };
+        return (line, answer);
     }
 }
 
@@ -607,6 +601,50 @@ fn write_record<W: Write>(out: &Mutex<W>, record: &str) {
     let _ = out.flush();
 }
 
+/// The one answer step, shared by the workers and the inline path: every
+/// answered line is counted here, from what the loop knew when it wrote
+/// the record, and written here.
+struct Answerer<'a, W> {
+    config: &'a ServeConfig,
+    metrics: &'a ServeMetrics,
+    out: &'a Mutex<W>,
+    drain: &'a CancelToken,
+    slow: Option<&'a SlowRing>,
+}
+
+impl<W: Write> Answerer<'_, W> {
+    /// Solves `job` on `worker` and writes its record.
+    fn solve(&self, worker: usize, job: &Job, cache: &mut SessionCache) {
+        let m = self.metrics;
+        m.inflight_inc();
+        let t0 = Instant::now();
+        let (line, answer) = process(job, self.config, self.drain, cache, self.slow, m);
+        m.inflight_dec();
+        m.observe(worker, &answer, t0.elapsed());
+        self.emit(&line);
+    }
+
+    /// Writes the reader's own `error` record for input line `seq`, read
+    /// at `read` (oversized, malformed, or no worker left to take it).
+    /// Its time counts as worker 0's, the inline path's worker.
+    fn reject(&self, id: Option<&str>, seq: u64, detail: &str, read: Instant) {
+        let line = record::error_record(id, seq, detail);
+        // An error record, before any solve attempt.
+        self.metrics.observe(0, &Answer::default(), read.elapsed());
+        self.emit(&line);
+    }
+
+    /// Writes a counted record, then a `metrics` record if the cadence
+    /// says one is due.
+    fn emit(&self, line: &str) {
+        write_record(self.out, line);
+        let (every_n, every) = (self.config.metrics_every_n, self.config.metrics_every);
+        if let Some(m) = self.metrics.maybe_metrics_record(every_n, every) {
+            write_record(self.out, &m);
+        }
+    }
+}
+
 /// Serves one JSONL request stream until EOF or `{"op":"shutdown"}`,
 /// then drains and writes the final `summary` record.
 ///
@@ -626,7 +664,8 @@ where
 
 /// Like [`serve`], with an externally owned [`ServeMetrics`] aggregate:
 /// the socket server shares one across all connections, so a `status`
-/// probe on a fresh connection reports the server's whole lifetime.
+/// probe on a fresh connection reports the server's whole lifetime. The
+/// stream's summary is what the aggregate gained while it ran.
 ///
 /// # Errors
 ///
@@ -641,42 +680,71 @@ where
     R: BufRead,
     W: Write + Send,
 {
+    let base = metrics.counts();
     let out = Mutex::new(output);
     let drain = CancelToken::new();
-    let counts = WorkerCounts::default();
-    let mut tally = Tally::default();
-    let mut seq = 0u64;
-    let mut shutdown = false;
-    let mut drained = true;
     let slow_ring = config
         .slow_ms
         .map(|_| SlowRing::new(&config.slow_dir, config.slow_ring_cap));
-    let slow = slow_ring.as_ref();
-    let metrics_due = |out: &Mutex<W>| {
-        if let Some(m) = metrics.maybe_metrics_record(config.metrics_every_n, config.metrics_every)
-        {
-            write_record(out, &m);
-        }
+    let step = Answerer {
+        config,
+        metrics,
+        out: &out,
+        drain: &drain,
+        slow: slow_ring.as_ref(),
     };
+    // `workers <= 1` spawns no thread: the reader answers each job on
+    // the spot, in input order (the deterministic mode).
+    let workers = if config.workers > 1 {
+        config.workers
+    } else {
+        0
+    };
+    let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
+    let rx = Mutex::new(rx);
+    let (done_tx, done_rx) = mpsc::channel::<()>();
+    let (shutdown, drained) = std::thread::scope(|scope| -> io::Result<(bool, bool)> {
+        for worker in 0..workers {
+            let done_tx = done_tx.clone();
+            let (rx, step) = (&rx, &step);
+            scope.spawn(move || {
+                // Sessions are worker-local (the solver stack is
+                // single-thread by construction): each worker keeps its
+                // own cache, so a hit requires landing on a worker that
+                // has seen the content before.
+                let mut cache = SessionCache::new(config.session_cache);
+                loop {
+                    // Hold the receiver lock only for the pickup;
+                    // blocking here simply queues the other idle workers
+                    // behind the lock.
+                    let job = lock(rx).recv();
+                    let Ok(job) = job else { break };
+                    metrics.queue_dec();
+                    step.solve(worker, &job, &mut cache);
+                }
+                let _ = done_tx.send(());
+            });
+        }
+        drop(done_tx);
 
-    if config.workers <= 1 {
-        // Deterministic inline mode: no threads, strict input order.
         let mut cache = SessionCache::new(config.session_cache);
+        let mut seq = 0u64;
+        let mut shutdown = false;
         while let Some((line, truncated)) = read_line_capped(&mut input, config.max_line_bytes)? {
             if line.trim().is_empty() {
                 continue;
             }
             seq += 1;
-            if truncated {
-                tally.errors += 1;
-                let detail = format!("line exceeds {} bytes", config.max_line_bytes);
-                write_record(&out, &record::error_record(None, seq, &detail));
-                continue;
-            }
-            match parse_line(&line) {
+            let read = Instant::now();
+            let parsed = if truncated {
+                Err(format!("line exceeds {} bytes", config.max_line_bytes))
+            } else {
+                parse_line(&line)
+            };
+            let req = match parsed {
                 Err(msg) => {
-                    tally.errors += 1;
-                    write_record(&out, &record::error_record(None, seq, &msg));
+                    step.reject(None, seq, &msg, read);
+                    continue;
                 }
                 Ok(RequestLine::Shutdown) => {
                     shutdown = true;
@@ -684,147 +752,57 @@ where
                 }
                 Ok(RequestLine::Status) => {
                     write_record(&out, &metrics.prometheus());
+                    continue;
                 }
-                Ok(RequestLine::Solve(req)) => {
-                    tally.requests += 1;
-                    metrics.observe_request();
-                    let job = Job::new(seq, *req, config);
-                    metrics.inflight_inc();
-                    let t0 = Instant::now();
-                    let rec = process(&job, config, &drain, &counts, &mut cache, slow, metrics);
-                    metrics.inflight_dec();
-                    metrics.observe_record(0, &rec, t0.elapsed());
-                    write_record(&out, &rec);
-                    metrics_due(&out);
+                Ok(RequestLine::Solve(req)) => req,
+            };
+            metrics.observe_request();
+            let job = Job::new(seq, *req, config);
+            if workers == 0 {
+                step.solve(0, &job, &mut cache);
+                continue;
+            }
+            match tx.try_send(job) {
+                Ok(()) => metrics.queue_inc(),
+                Err(TrySendError::Full(job)) => {
+                    metrics.observe_overloaded();
+                    let (depth, in_flight) = (metrics.queue_depth(), metrics.in_flight());
+                    let line = record::overloaded_record(&job.req.id, seq, depth, in_flight);
+                    step.emit(&line);
+                }
+                // All workers died (cannot happen while solves are
+                // isolated, but never drop a request silently).
+                Err(TrySendError::Disconnected(job)) => {
+                    step.reject(Some(&job.req.id), seq, "worker pool unavailable", read);
                 }
             }
         }
-    } else {
-        let (tx, rx) = mpsc::sync_channel::<Job>(config.queue_depth.max(1));
-        let rx = Mutex::new(rx);
-        let (done_tx, done_rx) = mpsc::channel::<()>();
-        std::thread::scope(|scope| -> io::Result<()> {
-            for worker in 0..config.workers {
-                let done_tx = done_tx.clone();
-                let (rx, out, drain, counts) = (&rx, &out, &drain, &counts);
-                let metrics_due = &metrics_due;
-                scope.spawn(move || {
-                    // Sessions are worker-local (the solver stack is
-                    // single-thread by construction): each worker keeps
-                    // its own cache, so a hit requires landing on a
-                    // worker that has seen the content before.
-                    let mut cache = SessionCache::new(config.session_cache);
-                    loop {
-                        // Hold the receiver lock only for the pickup;
-                        // blocking here simply queues the other idle
-                        // workers behind the lock.
-                        let job = lock(rx).recv();
-                        let Ok(job) = job else { break };
-                        metrics.queue_dec();
-                        metrics.inflight_inc();
-                        let t0 = Instant::now();
-                        let rec = process(&job, config, drain, counts, &mut cache, slow, metrics);
-                        metrics.inflight_dec();
-                        metrics.observe_record(worker, &rec, t0.elapsed());
-                        write_record(out, &rec);
-                        metrics_due(out);
-                    }
-                    let _ = done_tx.send(());
-                });
-            }
-            drop(done_tx);
 
-            while let Some((line, truncated)) =
-                read_line_capped(&mut input, config.max_line_bytes)?
-            {
-                if line.trim().is_empty() {
-                    continue;
+        // Drain: close the queue, give in-flight solves until the drain
+        // deadline, then cancel the shared token — every remaining solve
+        // answers Unknown promptly and its record is still written
+        // (exactly-once survives a hard drain).
+        drop(tx);
+        let deadline = Instant::now() + config.drain_timeout;
+        let mut remaining = workers;
+        let mut drained = true;
+        while remaining > 0 {
+            let left = deadline.saturating_duration_since(Instant::now());
+            match done_rx.recv_timeout(left) {
+                Ok(()) => remaining -= 1,
+                Err(RecvTimeoutError::Timeout) => {
+                    drained = false;
+                    drain.cancel();
+                    while remaining > 0 && done_rx.recv().is_ok() {
+                        remaining -= 1;
+                    }
+                    break;
                 }
-                seq += 1;
-                if truncated {
-                    tally.errors += 1;
-                    let detail = format!("line exceeds {} bytes", config.max_line_bytes);
-                    write_record(&out, &record::error_record(None, seq, &detail));
-                    continue;
-                }
-                match parse_line(&line) {
-                    Err(msg) => {
-                        tally.errors += 1;
-                        write_record(&out, &record::error_record(None, seq, &msg));
-                    }
-                    Ok(RequestLine::Shutdown) => {
-                        shutdown = true;
-                        break;
-                    }
-                    Ok(RequestLine::Status) => {
-                        write_record(&out, &metrics.prometheus());
-                    }
-                    Ok(RequestLine::Solve(req)) => {
-                        tally.requests += 1;
-                        metrics.observe_request();
-                        match tx.try_send(Job::new(seq, *req, config)) {
-                            Ok(()) => metrics.queue_inc(),
-                            Err(TrySendError::Full(job)) => {
-                                tally.overloaded += 1;
-                                metrics.observe_overloaded();
-                                write_record(
-                                    &out,
-                                    &record::overloaded_record(
-                                        &job.req.id,
-                                        seq,
-                                        metrics.queue_depth(),
-                                        metrics.in_flight(),
-                                    ),
-                                );
-                            }
-                            Err(TrySendError::Disconnected(job)) => {
-                                // All workers died (cannot happen while
-                                // solves are isolated, but never drop a
-                                // request silently).
-                                tally.errors += 1;
-                                write_record(
-                                    &out,
-                                    &record::error_record(
-                                        Some(&job.req.id),
-                                        seq,
-                                        "worker pool unavailable",
-                                    ),
-                                );
-                            }
-                        }
-                    }
-                }
+                Err(RecvTimeoutError::Disconnected) => break,
             }
-
-            // Drain: close the queue, give in-flight solves until the
-            // drain deadline, then cancel the shared token — every
-            // remaining solve answers Unknown promptly and its record
-            // is still written (exactly-once survives a hard drain).
-            drop(tx);
-            let deadline = Instant::now() + config.drain_timeout;
-            let mut remaining = config.workers;
-            while remaining > 0 {
-                let left = deadline.saturating_duration_since(Instant::now());
-                match done_rx.recv_timeout(left) {
-                    Ok(()) => remaining -= 1,
-                    Err(RecvTimeoutError::Timeout) => {
-                        drained = false;
-                        drain.cancel();
-                        while remaining > 0 && done_rx.recv().is_ok() {
-                            remaining -= 1;
-                        }
-                        break;
-                    }
-                    Err(RecvTimeoutError::Disconnected) => break,
-                }
-            }
-            Ok(())
-        })?;
-    }
-
-    tally.results = counts.results.load(Ordering::Relaxed);
-    tally.errors += counts.errors.load(Ordering::Relaxed);
-    tally.retries = counts.retries.load(Ordering::Relaxed);
+        }
+        Ok((shutdown, drained))
+    })?;
 
     // With a metrics cadence configured, flush the last partial window
     // before the summary so window deltas across all `metrics` records
@@ -833,6 +811,7 @@ where
         write_record(&out, &metrics.final_metrics_record());
     }
 
+    let tally = metrics.counts().minus(&base);
     let summary = record::summary_record(&tally, drained);
     {
         let mut out = lock(&out);
@@ -946,6 +925,42 @@ mod tests {
         assert!(summary.shutdown);
         assert_eq!(summary.tally.errors, 2);
         assert_eq!(summary.tally.results, 1);
+    }
+
+    #[test]
+    fn bad_lines_count_in_the_exposition_as_in_the_summary() {
+        // The reader's own error record (malformed JSON) and a solve-side
+        // one (unknown goal) are counted in the one store the exposition
+        // and the summary both read; a stream's summary is what the
+        // store gained while it ran, also when the store is shared.
+        let input = format!(
+            "this is not json\n\
+             {{\"id\":\"r1\",\"netlist\":\"{TINY}\",\"goal\":\"goal\",\"timeout_ms\":10000}}\n\
+             {{\"id\":\"r2\",\"netlist\":\"{TINY}\",\"goal\":\"nope\"}}\n"
+        );
+        let metrics = ServeMetrics::new();
+        let config = ServeConfig::default();
+        let mut out: Vec<u8> = Vec::new();
+        let summary = serve_with_metrics(input.as_bytes(), &mut out, &config, &metrics).unwrap();
+        let t = summary.tally;
+        assert_eq!((t.requests, t.results, t.errors), (2, 1, 2));
+        let text = metrics.prometheus();
+        let errors = format!("rtlsat_errors_total {}\n", t.errors);
+        assert!(text.contains(&errors), "{text}");
+        let answered = t.results + t.errors;
+        assert!(
+            text.contains(&format!("rtlsat_request_latency_us_count {answered}\n")),
+            "{text}"
+        );
+
+        let again = format!(
+            "{{\"id\":\"r3\",\"netlist\":\"{TINY}\",\"goal\":\"goal\",\"timeout_ms\":10000}}\n"
+        );
+        let summary = serve_with_metrics(again.as_bytes(), &mut out, &config, &metrics).unwrap();
+        let t = summary.tally;
+        assert_eq!((t.requests, t.results, t.errors), (1, 1, 0));
+        let all = metrics.counts();
+        assert_eq!((all.requests, all.results, all.errors), (3, 2, 2));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 #
 #   scripts/diff_outputs.sh <parent-rtlsat> <change-rtlsat>
 #
-# Six sets:
+# Seven sets:
 #   1. every single goal under hdpll, hdpll-s and hdpll-sp, with and
 #      without --no-preproc: exit code, stdout, the --trace file and the
 #      --stats-json record;
@@ -20,7 +20,12 @@
 #   5. every goal of the corpus under all five engines, its netlist
 #      inline, as one plain `serve` stream (no session cache);
 #   6. every goal of the corpus under all five engines with
-#      "fallback":true,"check":true, as one plain `serve` stream.
+#      "fallback":true,"check":true, as one plain `serve` stream;
+#   7. one `serve --max-line-bytes 512` stream of lines the service
+#      rejects (a blank line, malformed JSON, an oversized line, an
+#      unknown goal, a non-Boolean goal, an unknown engine) among valid
+#      requests, with and without --no-telemetry. No --metrics-every:
+#      metrics records carry wall-clock fields.
 # Masked: search_time_ms, learn_time_ms, time_ms and file in records,
 # and the millisecond columns and search/learn times of --stats.
 #
@@ -86,6 +91,20 @@ requests() {
   done < <(corpus)
 }
 
+# The seventh set's stream: every kind of line the service answers with
+# an `error` record (or skips, for the blank line), between two valid
+# requests.
+bad_lines() {
+  local ok="\"file\":\"$golden/adder_sat.rtl\""
+  printf '{"id":"v1",%s,"goal":"goal"}\n\n' "$ok"
+  echo '{"id":"broken", this is not json'
+  printf '{"id":"big","file":"%0600d"}\n' 0
+  printf '{"id":"nope",%s,"goal":"nope"}\n' "$ok"
+  printf '{"id":"word",%s,"goal":"s"}\n' "$ok"
+  printf '{"id":"engine",%s,"goal":"goal","engine":"frobnicator"}\n' "$ok"
+  printf '{"id":"v2","file":"%s","goal":"goal"}\n' "$golden/adder_unsat.rtl"
+}
+
 # run <side> <binary>: writes everything <binary> prints to $work/<side>.
 run() {
   local out=$work/$1 bin=$2 file goals engine pre code tag
@@ -127,6 +146,10 @@ run() {
   "$bin" serve <"$tmp.requests" 2>/dev/null | mask >"$out/serve-inline.jsonl"
   requests "$all_engines" file 1 ',"fallback":true,"check":true' >"$tmp.requests"
   "$bin" serve <"$tmp.requests" 2>/dev/null | mask >"$out/serve-fallback-check.jsonl"
+  bad_lines >"$tmp.requests"
+  "$bin" serve --max-line-bytes 512 <"$tmp.requests" 2>/dev/null | mask >"$out/serve-bad-lines.jsonl"
+  "$bin" serve --max-line-bytes 512 --no-telemetry <"$tmp.requests" 2>/dev/null |
+    mask >"$out/serve-bad-lines-no-telemetry.jsonl"
 }
 
 run parent "$1"

@@ -475,14 +475,14 @@ fn check_proof_command(rest: &[String]) -> ExitCode {
             }
         };
     }
-    let Some(goal) = proof::resolve_goal(&netlist, &proof.goal) else {
-        eprintln!(
-            "{proof_path}: goal `{}` not found in `{netlist_path}`",
-            proof.goal
-        );
-        return ExitCode::from(2);
-    };
-    match proof::Checker::check_goal(&netlist, goal, &proof) {
+    // `Checker::check` sends an assumption proof (an `assume` header, or
+    // a session's goal-free `-`) to the assumption checker and resolves
+    // the goal of a goal proof by name.
+    match proof::Checker::check(&netlist, &proof) {
+        Err(proof::CheckError::GoalNotFound { goal }) => {
+            eprintln!("{proof_path}: goal `{goal}` not found in `{netlist_path}`");
+            ExitCode::from(2)
+        }
         Ok(report) => {
             outln!(
                 "VERIFIED ({} steps, {} search nodes)",

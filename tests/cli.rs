@@ -405,6 +405,69 @@ fn trace_stats_json_and_report_roundtrip() {
 }
 
 #[test]
+fn report_reads_a_served_stream() {
+    // `rtlsat report` over a directory holding a `--stats-json` record
+    // and a saved `rtlsat serve` stream (result, error, metrics and
+    // summary lines) reports exactly the result records.
+    let dir = std::env::temp_dir().join("rtlsat_cli_report_served");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let netlist = write_netlist(&dir);
+    let out = bin()
+        .arg(&netlist)
+        .arg("both")
+        .args(["--stats-json", dir.join("demo.json").to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(20));
+
+    let file = netlist.to_str().unwrap();
+    let requests = format!(
+        "{{\"id\":\"a\",\"file\":\"{file}\",\"goal\":\"hit\"}}\nnot json\n\
+         {{\"id\":\"b\",\"file\":\"{file}\",\"goal\":\"both\"}}\n"
+    );
+    let mut child = bin()
+        .args(["serve", "--metrics-every", "1"])
+        .stdin(std::process::Stdio::piped())
+        .stdout(std::process::Stdio::piped())
+        .stderr(std::process::Stdio::null())
+        .spawn()
+        .expect("binary runs");
+    std::io::Write::write_all(&mut child.stdin.take().unwrap(), requests.as_bytes()).unwrap();
+    let served = child.wait_with_output().expect("serve runs");
+    let stream = String::from_utf8(served.stdout).unwrap();
+    for ty in ["result", "error", "metrics", "summary"] {
+        let tag = format!("\"type\":\"{ty}\"");
+        assert!(stream.contains(&tag), "{ty}: {stream}");
+    }
+    for name in ["served.json", "served.jsonl"] {
+        std::fs::write(dir.join(name), &stream).unwrap();
+        let out = bin()
+            .arg("report")
+            .arg(&dir)
+            .arg("--csv")
+            .output()
+            .expect("binary runs");
+        let csv = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success(), "{name}: {csv}");
+        // Case (the netlist's file stem), goal and verdict of each row:
+        // the `--stats-json` record, then the stream's two results.
+        let rows: Vec<String> = csv
+            .lines()
+            .skip(1)
+            .map(|l| l.split(',').take(4).collect::<Vec<_>>().join(","))
+            .collect();
+        let want = [
+            "demo,both,hdpll-sp,UNSAT",
+            "demo,both,hdpll-sp,UNSAT",
+            "demo,hit,hdpll-sp,SAT",
+        ];
+        assert_eq!(rows, want, "{name}: {csv}");
+        std::fs::remove_file(dir.join(name)).unwrap();
+    }
+}
+
+#[test]
 fn preprocess_subcommand_emits_parseable_netlist() {
     let dir = std::env::temp_dir().join("rtlsat_cli_preproc");
     std::fs::create_dir_all(&dir).unwrap();
@@ -521,6 +584,72 @@ fn check_proof_accepts_and_rejects_preproc_bundles() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert_eq!(out.status.code(), Some(1), "{stdout}");
     assert!(stdout.starts_with("REJECTED"), "{stdout}");
+}
+
+#[test]
+fn check_proof_verifies_the_session_proofs_rtlsat_writes() {
+    // A multi-goal run answers its goals in one incremental session and
+    // writes one assumption proof (header `goal -`) per UNSAT goal.
+    // `check-proof` checks them as assumption proofs, and still rejects
+    // one with a lemma literal flipped.
+    let dir = std::env::temp_dir().join("rtlsat_cli_session_proof");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let netlist =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/multi_adder.rtl");
+    let proof = dir.join("s.proof");
+    bin()
+        .arg(&netlist)
+        .arg("exact,wrong,over")
+        .arg("--no-preproc")
+        .args(["--proof", proof.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let check = |path: &std::path::Path| {
+        let out = bin()
+            .arg("check-proof")
+            .arg(&netlist)
+            .arg(path)
+            .output()
+            .expect("binary runs");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        (out.status.code(), stdout)
+    };
+    for goal in ["wrong", "over"] {
+        let path = dir.join(format!("s.proof.{goal}"));
+        let text = std::fs::read_to_string(&path).expect("session proof written");
+        assert!(text.contains("\ngoal -\n"), "{text}");
+        let (code, stdout) = check(&path);
+        assert_eq!(code, Some(0), "{goal}: {stdout}");
+        assert!(stdout.starts_with("VERIFIED"), "{goal}: {stdout}");
+
+        // Flip the first literal of the first lemma.
+        let (head, lemma) = text.split_once("\nl ").expect("a lemma line");
+        let flipped = match lemma.strip_prefix('-') {
+            Some(rest) => format!("{head}\nl {rest}"),
+            None => format!("{head}\nl -{lemma}"),
+        };
+        let bad = dir.join(format!("flipped.{goal}"));
+        std::fs::write(&bad, flipped).unwrap();
+        let (code, stdout) = check(&bad);
+        assert_eq!(code, Some(1), "{goal}: {stdout}");
+        assert!(stdout.starts_with("REJECTED"), "{goal}: {stdout}");
+    }
+
+    // A goal proof whose goal the netlist lacks is still a usage error.
+    let goal_proof = dir.join("wrong.proof");
+    bin()
+        .arg(&netlist)
+        .arg("wrong")
+        .arg("--no-preproc")
+        .args(["--proof", goal_proof.to_str().unwrap()])
+        .output()
+        .expect("binary runs");
+    let text = std::fs::read_to_string(&goal_proof).expect("goal proof written");
+    assert!(text.contains("\ngoal wrong\n"), "{text}");
+    let missing = dir.join("missing.proof");
+    std::fs::write(&missing, text.replace("\ngoal wrong\n", "\ngoal nosuch\n")).unwrap();
+    assert_eq!(check(&missing).0, Some(2));
 }
 
 #[test]

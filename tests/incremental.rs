@@ -242,7 +242,7 @@ proptest! {
                     if depth > 0 {
                         session.extend(|n| unroller.push_frame(n).unwrap());
                     }
-                    let asm = [Assumption::yes(unroller.bad(&prop, depth).unwrap())];
+                    let asm = [Assumption::yes(unroller.bad(prop, depth).unwrap())];
                     let expected = fresh_verdict(session.netlist(), &asm, config);
                     let certified = session.solve(&asm);
                     let tag = format!("{label} {prop}@{depth}");

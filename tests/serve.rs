@@ -677,6 +677,85 @@ fn metrics_records_window_sums_reconcile_with_summary() {
     }
 }
 
+/// The last record of type `ty` in a served stream.
+fn last_record(lines: &[String], ty: &str) -> Value {
+    let tag = format!("\"type\":\"{ty}\"");
+    lines
+        .iter()
+        .rev()
+        .find(|l| l.contains(&tag))
+        .map(|l| parse_record(l))
+        .unwrap_or_else(|| panic!("no {ty} record: {lines:#?}"))
+}
+
+#[test]
+fn bad_lines_count_in_metrics_as_in_the_summary() {
+    // Every kind of error record: malformed JSON and an oversized line
+    // (answered by the reader), an unknown goal and a non-Boolean goal
+    // (answered by the solve path), among valid requests. The last
+    // `metrics` record's totals equal the summary, inline and in the
+    // worker pool alike.
+    let golden = golden_dir();
+    let request = |id: &str, file: &str, goal: &str| {
+        let file = golden.join(file);
+        let file = file.to_str().unwrap();
+        format!(
+            "{{\"id\":\"{id}\",\"file\":\"{file}\",\"goal\":\"{goal}\",\"timeout_ms\":60000}}\n"
+        )
+    };
+    let input = [
+        "not json\n".to_string(),
+        request("v1", "adder_sat.rtl", "goal"),
+        format!("{{\"id\":\"big\",\"file\":\"{}\"}}\n", "x".repeat(4096)),
+        request("nope", "adder_sat.rtl", "nope"),
+        request("word", "adder_sat.rtl", "s"),
+        request("v2", "adder_unsat.rtl", "goal"),
+    ]
+    .concat();
+    for workers in ["1", "2"] {
+        let args = ["--metrics-every", "1", "--max-line-bytes", "1024"];
+        let (lines, exit) = run_serve(&input, &[&args[..], &["--workers", workers]].concat());
+        assert_eq!(exit, 0);
+        let summary = last_record(&lines, "summary");
+        assert_eq!(u64_of(&summary, &["errors"]), 4, "{lines:#?}");
+        assert_eq!(u64_of(&summary, &["results"]), 2, "{lines:#?}");
+        let last = last_record(&lines, "metrics");
+        for field in ["requests", "results", "errors", "overloaded", "retries"] {
+            assert_eq!(
+                u64_of(&last, &["total", field]),
+                u64_of(&summary, &[field]),
+                "--workers {workers}: metrics total `{field}`: {lines:#?}"
+            );
+        }
+        let verdicts: u64 = ["sat", "unsat", "unknown"]
+            .iter()
+            .map(|v| u64_of(&last, &["total", v]))
+            .sum();
+        assert_eq!(verdicts, u64_of(&summary, &["results"]));
+    }
+}
+
+#[test]
+fn session_cache_counts_do_not_need_telemetry() {
+    // The cache counters come from the serve loop, not from the
+    // record's telemetry counters, so `--no-telemetry` still counts a
+    // miss and then a hit.
+    let file = golden_dir().join("adder_sat.rtl");
+    let line = format!(
+        "{{\"id\":\"a\",\"file\":\"{}\",\"goal\":\"goal\",\"timeout_ms\":60000}}\n",
+        file.to_str().unwrap()
+    );
+    for telemetry in [&[][..], &["--no-telemetry"][..]] {
+        let mut args = vec!["--session-cache", "4", "--metrics-every", "2"];
+        args.extend_from_slice(telemetry);
+        let (lines, exit) = run_serve(&line.repeat(2), &args);
+        assert_eq!(exit, 0);
+        let last = last_record(&lines, "metrics");
+        let cache = ["cache_hits", "cache_misses"].map(|key| u64_of(&last, &["total", key]));
+        assert_eq!(cache, [1, 1], "{args:?}");
+    }
+}
+
 #[test]
 fn status_probe_answers_prometheus_exposition() {
     use std::os::unix::net::UnixStream;
